@@ -1,7 +1,6 @@
 //! Load harness: dse-serve under sustained multi-connection traffic.
 //!
-//! Where `bench_serve` times request *rounds* from a single caller, this
-//! bin drives the event-loop front end the way production traffic would:
+//! This bin drives the event-loop front end the way production traffic would:
 //! M concurrent keep-alive connections, each request individually timed,
 //! reported as per-request p50/p95/p99 latency plus measured throughput.
 //! Two arrival disciplines:
@@ -17,7 +16,7 @@
 //! Scenarios cover the warm path (every config cached), the cold path
 //! (a `/v1/fit` invalidates the cache, then every config is predicted
 //! exactly once), and the batched path (`/v1/predict_batch` with the
-//! batch priced in predictions/sec — the ≥100k predict/s headline row).
+//! batch priced in predictions/sec — the `load/batch/warm/b=512` row).
 //!
 //! Set `DSE_BENCH_JSON=<path>` to write the machine-readable report and
 //! `DSE_BENCH_BASELINE=<path>` to fail on a >50 % regression of each

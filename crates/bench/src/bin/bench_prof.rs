@@ -1,27 +1,25 @@
-//! Profiling driver: repeated scalar gzip simulations with no harness
-//! statistics and no batching, so external profilers (or interleaved
+//! Profiling binary: repeated gzip simulations with no harness
+//! statistics, so external profilers (or interleaved
 //! A/B timing against a reference build) attribute time cleanly to the
 //! pipeline hot loop. `PROF_SIMS` sets the simulation count and
 //! `PROF_CFG=tiny` swaps the baseline machine for the narrow
 //! stall-heavy configuration from `bench_sim`'s tiny-config row.
 //!
 //! `--stages` switches to the built-in stage profiler instead: each row
-//! (default/tiny config × scalar/lockstep mode) runs `PROF_SIMS` repeats
-//! under [`dse_sim::StageProf`] and the merged per-stage attribution is
+//! (default/tiny config) runs `PROF_SIMS` repeats under
+//! [`dse_sim::StageProf`] and the merged per-stage attribution is
 //! written as the `results/stageprof.json` schema (`--out <path>`,
 //! stdout otherwise). This is the regenerable evidence behind the
 //! "issue stage dominates" claim in ROADMAP Open item 1.
 
 use dse_bench::harness::black_box;
-use dse_sim::{simulate, simulate_stage_profiled, SimOptions, StageProf, SweepEngine};
-use dse_space::{Config, ConstantParams};
+use dse_sim::{simulate, simulate_stage_profiled, SimOptions, StageProf};
+use dse_space::Config;
 use dse_util::json::{Json, ToJson};
 use dse_workload::{suites, Trace, TraceGenerator};
 
 const TRACE_LEN: usize = 20_000;
 const WARMUP: usize = 2_000;
-/// Lockstep width for the batched rows: the sweep engine's default.
-const LOCKSTEP_WIDTH: usize = 8;
 
 fn tiny_config() -> Config {
     Config {
@@ -50,39 +48,17 @@ fn gzip_trace() -> Trace {
 }
 
 /// One report row: `sims` repeats of `cfg` under the stage profiler,
-/// scalar (`width == 1`) or lockstep-batched, merged into one profile.
-fn stage_row(name: &str, cfg: &Config, trace: &Trace, width: usize, sims: usize) -> Json {
+/// merged into one profile.
+fn stage_row(name: &str, cfg: &Config, trace: &Trace, sims: usize) -> Json {
     let opts = SimOptions::with_warmup(WARMUP);
     let mut merged = StageProf::default();
-    if width <= 1 {
-        for _ in 0..sims {
-            let (_, prof) = simulate_stage_profiled(cfg, trace, opts);
-            merged.merge(&prof);
-        }
-    } else {
-        let cfgs = vec![*cfg; width];
-        let engine = SweepEngine::new(&cfgs, &ConstantParams::standard(), trace, opts, width);
-        // One lockstep pass already steps `width` lanes; repeat enough
-        // passes to cover `sims` lane-runs.
-        for _ in 0..sims.div_ceil(width) {
-            let mut profs = vec![StageProf::default(); width];
-            let recs = engine.run_range_obs(0..width, &mut profs);
-            assert!(recs.iter().all(|r| r.is_ok()));
-            for p in &profs {
-                merged.merge(p);
-            }
-        }
+    for _ in 0..sims {
+        let (_, prof) = simulate_stage_profiled(cfg, trace, opts);
+        merged.merge(&prof);
     }
     let mut row = vec![
         ("config".to_string(), Json::Str(name.to_string())),
-        (
-            "mode".to_string(),
-            Json::Str(if width <= 1 {
-                "scalar".to_string()
-            } else {
-                format!("lockstep{width}")
-            }),
-        ),
+        ("mode".to_string(), Json::Str("scalar".to_string())),
     ];
     if let Json::Obj(fields) = merged.to_json() {
         row.extend(fields);
@@ -93,10 +69,8 @@ fn stage_row(name: &str, cfg: &Config, trace: &Trace, width: usize, sims: usize)
 fn run_stages(n: usize, out: Option<&str>) {
     let trace = gzip_trace();
     let rows = vec![
-        stage_row("default", &Config::baseline(), &trace, 1, n),
-        stage_row("default", &Config::baseline(), &trace, LOCKSTEP_WIDTH, n),
-        stage_row("tiny", &tiny_config(), &trace, 1, n),
-        stage_row("tiny", &tiny_config(), &trace, LOCKSTEP_WIDTH, n),
+        stage_row("default", &Config::baseline(), &trace, n),
+        stage_row("tiny", &tiny_config(), &trace, n),
     ];
     let report = Json::Obj(vec![
         ("version".to_string(), Json::Num(1.0)),
@@ -132,7 +106,7 @@ fn main() {
             .position(|a| a == "--out")
             .and_then(|i| args.get(i + 1))
             .map(|s| s.as_str());
-        // Stage rows repeat per config×mode; default to a lighter count.
+        // Stage rows repeat per config; default to a lighter count.
         let n = std::env::var("PROF_SIMS")
             .ok()
             .and_then(|v| v.parse().ok())

@@ -8,10 +8,8 @@
 
 use dse_bench::harness::{black_box, iters_for, Report};
 use dse_rng::Xoshiro256;
-use dse_sim::{
-    record_metrics, simulate, simulate_detailed, simulate_profiled, SimOptions, SweepEngine,
-};
-use dse_space::{sample_legal, Config, ConstantParams};
+use dse_sim::{simulate, simulate_detailed, simulate_profiled, SimOptions};
+use dse_space::{sample_legal, Config};
 use dse_workload::{suites, TraceGenerator};
 
 fn main() {
@@ -108,12 +106,10 @@ fn main() {
     );
 
     // Sweep throughput: sixteen sampled configurations over one shared
-    // gzip trace, as the dataset sweep runs them — one-at-a-time scalar
-    // simulation (w1) against the lockstep batched engine at widths 4
-    // and 8. `sims_per_sec` is priced per simulation (16 per timed
-    // iteration), so the three rows compare directly with each other and
-    // with the single-simulation rows above; the regression gate holds
-    // each to its own committed baseline.
+    // gzip trace, one simulation at a time as the dataset sweep runs
+    // them. `sims_per_sec` is priced per simulation (16 per timed
+    // iteration), so the row compares directly with the
+    // single-simulation rows above.
     let mut rng = Xoshiro256::seed_from(0xBA7C);
     let sweep_cfgs = sample_legal(&mut rng, 16);
     let sweep_cycles: u64 = sweep_cfgs
@@ -121,7 +117,7 @@ fn main() {
         .map(|c| simulate_detailed(c, &trace, opts).0.cycles)
         .sum();
     report.bench_scaled(
-        "simulator/sweep-w1/gzip/16x20k",
+        "simulator/sweep/gzip/16x20k",
         1,
         iters,
         sweep_cfgs.len(),
@@ -132,32 +128,6 @@ fn main() {
             }
         },
     );
-    for width in [4usize, 8] {
-        report.bench_scaled(
-            &format!("simulator/sweep-w{width}/gzip/16x20k"),
-            1,
-            iters,
-            sweep_cfgs.len(),
-            Some(sweep_cycles),
-            || {
-                // Engine construction (shared front-end plans) is timed:
-                // it is a real cost of sweeping from scratch.
-                let engine = SweepEngine::new(
-                    &sweep_cfgs,
-                    &ConstantParams::standard(),
-                    &trace,
-                    opts,
-                    width,
-                );
-                for s in (0..sweep_cfgs.len()).step_by(width) {
-                    let e = (s + width).min(sweep_cfgs.len());
-                    for r in engine.run_range(s..e) {
-                        black_box(record_metrics(&r.expect("clean lane").result));
-                    }
-                }
-            },
-        );
-    }
 
     let gcc = suites::spec2000()
         .into_iter()

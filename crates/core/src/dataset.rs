@@ -7,8 +7,8 @@
 //! programs' responses without new simulations (§5.3).
 
 use dse_rng::Xoshiro256;
-use dse_sim::{batch_width, CheckError, Metric, Metrics, SimOptions, SweepEngine};
-use dse_space::{sample_legal, Config, ConstantParams};
+use dse_sim::{try_simulate, CheckError, Metric, Metrics, SimOptions};
+use dse_space::{sample_legal, Config};
 use dse_util::json::{FromJson, Json, JsonError, ToJson};
 use dse_util::par::par_map;
 use dse_workload::{Profile, Suite, TraceGenerator};
@@ -217,15 +217,12 @@ impl SuiteDataset {
     /// Simulates `profiles` over a fresh uniform sample of legal
     /// configurations. The whole benchmark × configuration grid (plus one
     /// baseline cell per benchmark) is flattened into a single work list
-    /// of *lockstep batches* — `ARCHDSE_BATCH` consecutive configurations
-    /// of one benchmark per work item, simulated in one shared trace pass
-    /// by a per-benchmark [`dse_sim::SweepEngine`] (`ARCHDSE_BATCH=1`
-    /// restores the legacy one-sim-per-item path) — and handed to one
+    /// of one simulation per item and handed to one
     /// [`dse_util::par::par_map`] call (thread count via
-    /// `ARCHDSE_THREADS`): a thread finishing a cheap batch immediately
-    /// pulls work from *any* benchmark instead of idling at a
-    /// per-benchmark barrier. Results are bit-identical for every batch
-    /// width and thread count. Progress (sims completed, sims/sec, ETA)
+    /// `ARCHDSE_THREADS`): a thread finishing a cheap simulation
+    /// immediately pulls work from *any* benchmark instead of idling at a
+    /// per-benchmark barrier. Results are bit-identical for every thread
+    /// count. Progress (sims completed, sims/sec, ETA)
     /// and a one-line summary are reported at `info` level
     /// (`ARCHDSE_LOG=info`) since full generation takes minutes.
     ///
@@ -276,31 +273,12 @@ impl SuiteDataset {
         };
 
         // Flatten the benchmark × configuration grid into a single work
-        // list of lockstep batches: `width` consecutive columns of one
-        // benchmark per item, sharing a single trace pass. The baseline
-        // rides along as a final pseudo-column so it is scheduled like
-        // any other cell. One `SweepEngine` per benchmark precomputes the
-        // front-end plans for *all* columns up front, so every distinct
-        // predictor/BTB/I-cache geometry is paid for once per benchmark,
-        // not once per batch.
+        // list of (benchmark, column) cells. The baseline rides along as a
+        // final pseudo-column so it is scheduled like any other cell.
         let sweep_cfgs: Vec<Config> = configs.iter().copied().chain([baseline_cfg]).collect();
         let cols = sweep_cfgs.len();
-        let width = batch_width();
-        let engines: Vec<SweepEngine> = {
-            let _span = dse_obs::span!("dataset.plans", benchmarks = profiles.len());
-            traces
-                .iter()
-                .map(|t| {
-                    SweepEngine::new(&sweep_cfgs, &ConstantParams::standard(), t, options, width)
-                })
-                .collect()
-        };
-        let jobs: Vec<(usize, usize, usize)> = (0..profiles.len())
-            .flat_map(|b| {
-                (0..cols)
-                    .step_by(width)
-                    .map(move |s| (b, s, (s + width).min(cols)))
-            })
+        let jobs: Vec<(usize, usize)> = (0..profiles.len())
+            .flat_map(|b| (0..cols).map(move |c| (b, c)))
             .collect();
         let t0 = std::time::Instant::now();
         let total = profiles.len() * cols;
@@ -309,19 +287,13 @@ impl SuiteDataset {
         let progress_step = (total / 10).max(1);
         let done = std::sync::atomic::AtomicUsize::new(0);
         let sims_counter = dse_obs::counter("dse_core_dataset_sims_total");
-        let cells: Vec<Vec<Result<Metrics, CheckError>>> = {
+        let cells: Vec<Result<Metrics, CheckError>> = {
             let _span = dse_obs::span!("dataset.sweep", sims = total);
-            par_map(&jobs, |&(b, s, e)| {
-                let r: Vec<Result<Metrics, CheckError>> = engines[b]
-                    .run_range(s..e)
-                    .into_iter()
-                    .map(|r| r.map(|rec| dse_sim::record_metrics(&rec.result)))
-                    .collect();
-                let lanes = e - s;
-                sims_counter.add(lanes as u64);
-                let before = done.fetch_add(lanes, std::sync::atomic::Ordering::Relaxed);
-                let d = before + lanes;
-                if before / progress_step != d / progress_step || d == total {
+            par_map(&jobs, |&(b, c)| {
+                let r = try_simulate(&sweep_cfgs[c], &traces[b], options);
+                sims_counter.inc();
+                let d = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                if d.is_multiple_of(progress_step) || d == total {
                     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
                     let rate = d as f64 / elapsed;
                     dse_obs::log!(
@@ -344,21 +316,19 @@ impl SuiteDataset {
         );
 
         // Regroup benchmark-major; `par_map` returns results in input
-        // order and each batch covers consecutive columns, so flattening
-        // restores the exact (benchmark, column) row-major order — the
-        // output is deterministic for any thread count and batch width.
-        let mut iter = cells.into_iter().flatten();
+        // order, which is the (benchmark, column) row-major order — the
+        // output is deterministic for any thread count.
+        let mut iter = cells.into_iter();
         let mut benchmarks = Vec::with_capacity(profiles.len());
         for p in profiles {
             let mut metrics = Vec::with_capacity(cols);
-            for c in 0..cols {
-                let cfg = configs.get(c).copied().unwrap_or(baseline_cfg);
+            for cfg in &sweep_cfgs {
                 let m = iter
                     .next()
                     .expect("job list covers the grid")
                     .map_err(|source| GenerateError {
                         benchmark: p.name.to_string(),
-                        config: cfg,
+                        config: *cfg,
                         source,
                     })?;
                 metrics.push(m);

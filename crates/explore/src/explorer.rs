@@ -7,25 +7,24 @@
 //! members dominating the prediction, then largest predicted hypervolume
 //! gain, then best scalarized value, then candidate order) with the first
 //! picks reserved for the per-axis predicted minima so frontier extremes
-//! are captured early; (4) simulates the top-K picks through the batched
-//! [`SweepEngine`] and offers the **ground-truth** objective vectors to
-//! the nondominated archive. Predictions never enter the archive — they
+//! are captured early; (4) simulates the top-K picks through the
+//! [`GroundTruth`] oracle and offers the **ground-truth** objective
+//! vectors to the nondominated archive. Predictions never enter the archive — they
 //! only decide what to simulate, so a bad model costs sims, not
 //! correctness ("refit-free re-rank").
 //!
 //! Determinism: candidate order is construction order (archive canonical
 //! order, then RNG draw order), all scoring fans out through the
-//! order-preserving [`par_map`], every sort key ends in a candidate
-//! index, and the simulator is bit-identical across `ARCHDSE_BATCH` — so
-//! one seed yields one frontier, byte-for-byte, for any
-//! `ARCHDSE_THREADS` × `ARCHDSE_BATCH` setting.
+//! order-preserving [`par_map`], and every sort key ends in a candidate
+//! index — so one seed yields one frontier, byte-for-byte, for any
+//! `ARCHDSE_THREADS` setting.
 
 use crate::frontier::{Frontier, RoundStats, FRONTIER_VERSION};
 use crate::objective::{Constraints, Objective, ParseError};
 use crate::pareto::{hypervolume, Archive, Insert, NORMALIZED_REFERENCE};
 use dse_rng::Xoshiro256;
-use dse_sim::{batch_width, CheckError, Metric, Metrics, SimOptions, SweepEngine};
-use dse_space::{neighbors, sample_raw, Config, ConstantParams, PARAM_COUNT};
+use dse_sim::{try_simulate, CheckError, Metric, Metrics, SimOptions};
+use dse_space::{neighbors, sample_raw, Config, PARAM_COUNT};
 use dse_util::json::{FromJson, Json, JsonError, ToJson};
 use dse_util::par::par_map;
 use dse_workload::Trace;
@@ -97,24 +96,18 @@ impl From<ParseError> for ExploreError {
     }
 }
 
-/// [`GroundTruth`] over the batched lockstep sweep engine: one shared
-/// trace pass per `ARCHDSE_BATCH` lanes, ranges fanned through
-/// [`par_map`] (`ARCHDSE_THREADS`), results in input order and
-/// bit-identical for every width × thread setting.
+/// [`GroundTruth`] over the scalar simulator: one simulation per
+/// configuration, fanned through [`par_map`] (`ARCHDSE_THREADS`), results
+/// in input order and bit-identical for every thread count.
 pub struct SimOracle {
     trace: Trace,
-    cons: ConstantParams,
     options: SimOptions,
 }
 
 impl SimOracle {
     /// An oracle simulating `trace` under `options`.
     pub fn new(trace: Trace, options: SimOptions) -> Self {
-        Self {
-            trace,
-            cons: ConstantParams::standard(),
-            options,
-        }
+        Self { trace, options }
     }
 
     /// The trace being simulated.
@@ -125,26 +118,11 @@ impl SimOracle {
 
 impl GroundTruth for SimOracle {
     fn simulate(&self, cfgs: &[Config]) -> Result<Vec<Metrics>, ExploreError> {
-        if cfgs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let width = batch_width();
-        let engine = SweepEngine::new(cfgs, &self.cons, &self.trace, self.options, width);
-        let jobs: Vec<(usize, usize)> = (0..cfgs.len())
-            .step_by(width)
-            .map(|s| (s, (s + width).min(cfgs.len())))
-            .collect();
-        let rows = par_map(&jobs, |&(s, e)| engine.run_range(s..e));
-        let mut out = Vec::with_capacity(cfgs.len());
-        for (row, &(s, _)) in rows.into_iter().zip(jobs.iter()) {
-            for (lane, r) in row.into_iter().enumerate() {
-                match r {
-                    Ok(rec) => out.push(dse_sim::record_metrics(&rec.result)),
-                    Err(e) => return Err(ExploreError::Check(cfgs[s + lane], e)),
-                }
-            }
-        }
-        Ok(out)
+        par_map(cfgs, |cfg| try_simulate(cfg, &self.trace, self.options))
+            .into_iter()
+            .zip(cfgs)
+            .map(|(r, cfg)| r.map_err(|e| ExploreError::Check(*cfg, e)))
+            .collect()
     }
 }
 

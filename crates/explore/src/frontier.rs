@@ -5,7 +5,7 @@
 //! statistics, and the honest cost ledger (predictor calls vs simulator
 //! calls). Serialization is via the workspace JSON layer, whose `f64`
 //! formatting is shortest-round-trip bit-exact, so a frontier serialized
-//! under any `ARCHDSE_THREADS` / `ARCHDSE_BATCH` setting is byte-identical
+//! under any `ARCHDSE_THREADS` setting is byte-identical
 //! (pinned by `tests/explore_determinism.rs`).
 
 use crate::objective::{Constraints, Objective};

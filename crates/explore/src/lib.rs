@@ -17,11 +17,11 @@
 //! * [`Archive`] — the nondominated set, capacity-bounded by normalized
 //!   hypervolume-contribution pruning, canonically ordered.
 //! * [`Explorer`] — the loop: score candidates with the predictor, pick
-//!   by acquisition key, ground-truth the picks through the batched
+//!   by acquisition key, ground-truth the picks through the
 //!   [`SimOracle`], archive only simulated results. Every pick the
 //!   predictor gets wrong costs one simulation, never correctness.
 //! * [`Frontier`] — the serializable result, bit-identical across
-//!   `ARCHDSE_THREADS` and `ARCHDSE_BATCH` for a fixed seed.
+//!   `ARCHDSE_THREADS` for a fixed seed.
 //!
 //! Cost accounting is explicit: [`Frontier::predictor_calls`] and
 //! [`Frontier::sim_calls`] report how much each oracle was consulted, so

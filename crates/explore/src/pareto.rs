@@ -4,7 +4,7 @@
 //! floating-point comparisons go through [`f64::total_cmp`], every sort is
 //! total, and ties are broken by configuration indices, so the archive's
 //! canonical order — and therefore the serialized frontier — is
-//! bit-identical across thread counts and batch widths.
+//! bit-identical across thread counts.
 
 use crate::frontier::FrontierPoint;
 use dse_space::Config;

@@ -1,6 +1,6 @@
 //! A small blocking HTTP/1.1 client for the prediction server.
 //!
-//! Used by the integration tests, the CI smoke stage and `bench_serve`;
+//! Used by the integration tests, the CI smoke stage and `bench_load`;
 //! also the implementation behind `archdse client`. Keeps one keep-alive
 //! connection and reconnects transparently once when the server closed it
 //! (e.g. after an error response or a drain).

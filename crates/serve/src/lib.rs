@@ -21,7 +21,7 @@
 //! * [`telemetry`] — request counters and latency percentiles for
 //!   `GET /metrics`;
 //! * [`client`] — the blocking keep-alive client used by tests, CI and
-//!   `bench_serve`.
+//!   `bench_load`.
 //!
 //! The server path is *bit-identical* to the library path: predictions
 //! run [`dse_core::arch_centric::OfflineModel::predict_with`] on the

@@ -97,7 +97,7 @@ impl ToJson for CorunResult {
 ///
 /// Runs four simulations (two capture, two contention passes); fully
 /// deterministic for fixed inputs and independent of `ARCHDSE_THREADS`
-/// / `ARCHDSE_BATCH` (the passes are scalar by construction).
+/// (the passes run serially).
 ///
 /// # Errors
 ///

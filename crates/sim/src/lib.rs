@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod branch;
 pub mod cache;
 pub mod check;
@@ -46,10 +45,6 @@ pub mod oracle;
 pub mod pipeline;
 pub mod timing;
 
-pub use batch::{
-    batch_width, simulate_batch, try_simulate_batch, try_simulate_batch_records, SweepEngine,
-    BATCH_ENV,
-};
 pub use check::CheckError;
 pub use corun::{simulate_corun, CorunLane, CorunResult};
 pub use obs::{NoObs, SimObs, StageProf, StageTimes, StallProfile, StallReport};
@@ -253,9 +248,10 @@ pub(crate) fn record_run(result: &SimResult) {
 }
 
 /// Bumps the workspace-wide simulation counters for one finished run and
-/// converts its result to phase-normalised [`Metrics`] — the per-lane
-/// accounting step shared by the scalar and batched sweep paths, so
-/// sims/cycles/instructions totals count lanes, never batch passes.
+/// converts its result to phase-normalised [`Metrics`] — the accounting
+/// step for callers that drive a [`Pipeline`] themselves (the co-run
+/// passes), so they count in the sims/cycles/instructions totals exactly
+/// like [`simulate`].
 pub fn record_metrics(result: &SimResult) -> Metrics {
     record_run(result);
     Metrics::from_result(result)
@@ -369,22 +365,6 @@ mod tests {
         // Stepped + skipped covers every simulated cycle after warm-up
         // completes; sanity-bound rather than pin exact idle split.
         assert!(prof.cycles_idle > 0, "demo trace should idle-skip");
-    }
-
-    #[test]
-    fn batched_stage_profile_matches_scalar_records() {
-        let t = demo_trace(10_000);
-        let opts = SimOptions::with_warmup(2_000);
-        let cfgs = vec![Config::baseline(); 3];
-        let engine = SweepEngine::new(&cfgs, &ConstantParams::standard(), &t, opts, 3);
-        let mut profs = vec![StageProf::default(); 3];
-        let recs = engine.run_range_obs(0..3, &mut profs);
-        let scalar = simulate(&Config::baseline(), &t, opts);
-        for (rec, prof) in recs.iter().zip(&profs) {
-            let rec = rec.as_ref().expect("lane ran clean");
-            assert_eq!(Metrics::from_result(&rec.result), scalar);
-            assert!(prof.cycles_stepped > 0 && prof.total_ticks() > 0);
-        }
     }
 
     #[test]

@@ -248,8 +248,8 @@ impl SimObs for StallProfile {
 }
 
 /// Per-stage host-cycle-time attribution over a run: where the
-/// *simulator's* wall time goes, stage by stage — the measurement behind
-/// the cross-lane SoA back-end decision (ROADMAP Open item 1).
+/// *simulator's* wall time goes, stage by stage — the measurement that
+/// decides which pipeline stage is worth optimising.
 ///
 /// `ENABLED` is false so the per-cycle [`CycleObs`] snapshot is never
 /// built: the stage brackets time exactly the un-instrumented stage
@@ -277,8 +277,8 @@ impl StageProf {
         ticks as f64 / self.total_ticks().max(1) as f64
     }
 
-    /// Folds another lane's (or another run's) profile into this one —
-    /// how batched sweeps and repeated-sim drivers aggregate.
+    /// Folds another run's profile into this one — how callers that
+    /// repeat a simulation aggregate its profiles.
     pub fn merge(&mut self, other: &StageProf) {
         self.cycles_stepped += other.cycles_stepped;
         self.cycles_idle += other.cycles_idle;

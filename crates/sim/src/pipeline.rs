@@ -59,7 +59,6 @@
 //! computes — so metrics are bit-identical to stepping every cycle
 //! (pinned by `tests/golden_sim.rs`).
 
-use crate::batch::PlanLane;
 use crate::branch::{Btb, Gshare};
 use crate::cache::{Cache, CacheOutcome};
 use crate::check::{self, Bounds, CheckError, InvariantChecker, Occupancy};
@@ -178,8 +177,13 @@ pub struct RunRecord {
     pub model: EnergyModel,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct MissRateSnapshot {
+/// Machine statistics at the end of warm-up, subtracted from the
+/// end-of-run totals to measure the post-warm-up phase. Each pair is
+/// (accesses or predictions, misses).
+#[derive(Debug, Clone, Copy, Default)]
+struct WarmSnapshot {
+    counters: EnergyCounters,
+    cycle: u64,
     l1i: (u64, u64),
     l1d: (u64, u64),
     l2: (u64, u64),
@@ -200,102 +204,6 @@ struct IntruderLane {
     misses: u64,
 }
 
-/// Source of front-end outcomes: I-cache hit/miss, branch direction, and
-/// BTB target correctness.
-///
-/// Both variants produce bit-identical outcome *sequences*, because the
-/// front end is timing-independent: branches are predicted in program
-/// order no matter when fetch reaches them (stalls replay the same
-/// position without re-accessing), and fetch touches the I-cache exactly
-/// when the line changes, with the line register reset only after a
-/// correctly-predicted taken branch — a deterministic automaton over the
-/// trace and the flow-correct bits. `Live` owns the structures and
-/// computes outcomes as it goes (the scalar path); `Planned` replays
-/// per-geometry outcome bitsets precomputed once per batch by
-/// [`crate::batch::FrontendPlans`], so B lockstep lanes pay for each
-/// distinct predictor/BTB/I-cache geometry once instead of B times.
-/// Equality of the two paths is pinned by `tests/golden_sim.rs` and
-/// `tests/batch_sim.rs`.
-#[derive(Debug)]
-enum Frontend<'p> {
-    Live {
-        icache: Cache,
-        gshare: Gshare,
-        btb: Btb,
-    },
-    Planned(PlanLane<'p>),
-}
-
-impl Frontend<'_> {
-    /// One I-cache access for the line holding `pc`.
-    #[inline]
-    fn icache_access(&mut self, pc: u64) -> CacheOutcome {
-        match self {
-            Frontend::Live { icache, .. } => icache.access(pc),
-            Frontend::Planned(lane) => lane.next_icache(),
-        }
-    }
-
-    /// Predict + train on the branch at `pc`; returns whether the fetch
-    /// flow was correct (direction right, and for taken branches the BTB
-    /// also supplied the right target).
-    #[inline]
-    fn branch_access(&mut self, pc: u64, taken: bool, target: u32) -> bool {
-        match self {
-            Frontend::Live { gshare, btb, .. } => {
-                let pred_taken = gshare.predict(pc);
-                let btb_target = btb.lookup(pc);
-                // A taken prediction is only useful with a correct target.
-                let correct = if taken {
-                    pred_taken && btb_target == Some(target)
-                } else {
-                    !pred_taken
-                };
-                gshare.update(pc, taken);
-                if taken {
-                    btb.update(pc, target);
-                }
-                correct
-            }
-            Frontend::Planned(lane) => lane.next_branch(taken),
-        }
-    }
-
-    /// (predictions, direction mispredictions) so far.
-    fn bpred_stats(&self) -> (u64, u64) {
-        match self {
-            Frontend::Live { gshare, .. } => (gshare.predictions(), gshare.mispredictions()),
-            Frontend::Planned(lane) => lane.bpred_stats(),
-        }
-    }
-
-    /// (accesses, misses) of the I-cache so far.
-    fn icache_stats(&self) -> (u64, u64) {
-        match self {
-            Frontend::Live { icache, .. } => (icache.accesses(), icache.misses()),
-            Frontend::Planned(lane) => lane.icache_stats(),
-        }
-    }
-
-    /// End-of-run structure checks. A planned lane validates the shared
-    /// plan structures and that it consumed the plan exactly — the
-    /// sanitizer stays fully armed per lane under batching.
-    fn check_invariants(&self) -> Result<(), CheckError> {
-        match self {
-            Frontend::Live {
-                icache,
-                gshare,
-                btb,
-            } => {
-                icache.check_invariants("l1i")?;
-                gshare.check_invariants()?;
-                btb.check_invariants()
-            }
-            Frontend::Planned(lane) => lane.check_final(),
-        }
-    }
-}
-
 /// The machine state for one run. Construct via [`Pipeline::new`] and call
 /// [`Pipeline::run`].
 #[derive(Debug)]
@@ -314,11 +222,9 @@ pub struct Pipeline<'t> {
     targets: &'t [u32],
     metas: &'t [u8],
 
-    /// Front-end outcome source: live structures (scalar path) or a
-    /// precomputed per-batch plan replay (lockstep path). The D-cache and
-    /// L2 stay live per lane — their access order is issue order, which is
-    /// timing- (hence config-) dependent.
-    frontend: Frontend<'t>,
+    icache: Cache,
+    gshare: Gshare,
+    btb: Btb,
     dcache: Cache,
     l2: Cache,
     energy_model: EnergyModel,
@@ -412,7 +318,7 @@ pub struct Pipeline<'t> {
 
     /// Stage-timing scratch: ticks spent in writeback-port reservation
     /// this cycle. Written only under `SimObs::STAGE_TIMING` (the issue
-    /// stage accumulates, `step_until` drains); dead otherwise.
+    /// stage accumulates, the run loop drains); dead otherwise.
     wb_ticks: u64,
 
     /// Set when an issue attempt failed on a structural hazard (ports,
@@ -452,61 +358,16 @@ pub struct Pipeline<'t> {
     /// First invariant violation raised from a hook that cannot return a
     /// `Result` directly; drained once per cycle by the run loop.
     check_fail: Option<CheckError>,
-
-    // Resumable-run state ([`Pipeline::step_until`] suspends and resumes
-    // mid-run, so what were locals of the run loop live here).
-    /// Counter snapshot at the end of warm-up (`None` until taken).
-    warm_counters: Option<EnergyCounters>,
-    /// Cycle at which the warm-up snapshot was taken.
-    warm_cycle: u64,
-    /// Cache/predictor statistics at the end of warm-up.
-    warm_rates: Option<MissRateSnapshot>,
-    /// Last cycle that committed anything (deadlock watchdog).
-    last_commit_cycle: u64,
 }
 
 impl<'t> Pipeline<'t> {
-    /// Builds a pipeline for `trace` under `cfg` with live front-end
-    /// structures (the scalar path).
+    /// Builds a pipeline for `trace` under `cfg`.
     ///
     /// # Panics
     ///
     /// Panics if the trace is empty or shorter than the warm-up, or the
     /// configuration is illegal.
     pub fn new(cfg: &Config, cons: &ConstantParams, trace: &'t Trace, options: SimOptions) -> Self {
-        let frontend = Frontend::Live {
-            icache: Cache::new(
-                cfg.icache_kb as u64 * 1024,
-                cons.l1_line_bytes,
-                cons.l1i_assoc,
-            ),
-            gshare: Gshare::new(cfg.bpred_k as u64 * 1024),
-            btb: Btb::new(cfg.btb_k as u64 * 1024),
-        };
-        Self::with_frontend(cfg, cons, trace, options, frontend)
-    }
-
-    /// Builds a lockstep-batch lane replaying a precomputed front-end
-    /// plan. The plan must have been built for this exact (trace, config)
-    /// pair; `lane.check_final()` re-validates consumption at the end of
-    /// the run when the sanitizer is armed.
-    pub(crate) fn new_planned(
-        cfg: &Config,
-        cons: &ConstantParams,
-        trace: &'t Trace,
-        options: SimOptions,
-        lane: PlanLane<'t>,
-    ) -> Self {
-        Self::with_frontend(cfg, cons, trace, options, Frontend::Planned(lane))
-    }
-
-    fn with_frontend(
-        cfg: &Config,
-        cons: &ConstantParams,
-        trace: &'t Trace,
-        options: SimOptions,
-        frontend: Frontend<'t>,
-    ) -> Self {
         assert!(cfg.is_legal(), "configuration fails the legality filter");
         assert!(!trace.is_empty(), "trace must not be empty");
         assert!(
@@ -580,7 +441,13 @@ impl<'t> Pipeline<'t> {
             takens: trace.takens(),
             targets: trace.targets(),
             metas: trace.metas(),
-            frontend,
+            icache: Cache::new(
+                cfg.icache_kb as u64 * 1024,
+                cons.l1_line_bytes,
+                cons.l1i_assoc,
+            ),
+            gshare: Gshare::new(cfg.bpred_k as u64 * 1024),
+            btb: Btb::new(cfg.btb_k as u64 * 1024),
             dcache: Cache::new(
                 cfg.dcache_kb as u64 * 1024,
                 cons.l1_line_bytes,
@@ -630,10 +497,6 @@ impl<'t> Pipeline<'t> {
             wheel_overflow: Vec::with_capacity(16),
             checker: sanitize.then(InvariantChecker::new),
             check_fail,
-            warm_counters: None,
-            warm_cycle: 0,
-            warm_rates: None,
-            last_commit_cycle: 0,
         }
     }
 
@@ -759,8 +622,8 @@ impl<'t> Pipeline<'t> {
     /// un-instrumented loop, so results are bit-identical whether or not
     /// a run is observed (pinned by `tests/golden_sim.rs`).
     pub fn try_run_full_obs<O: SimObs>(mut self, obs: &mut O) -> Result<RunRecord, CheckError> {
-        self.step_until(obs, usize::MAX)?;
-        self.into_record()
+        let warm = self.run_loop(obs)?;
+        self.into_record(warm)
     }
 
     /// Arms L2 stream capture: the run records every L2-reaching address
@@ -795,39 +658,22 @@ impl<'t> Pipeline<'t> {
     /// address stream recorded by [`Pipeline::capture_l2_stream`]
     /// (empty if capture was never armed).
     pub fn try_run_full_captured(mut self) -> Result<(RunRecord, Vec<u64>), CheckError> {
-        self.step_until(&mut NoObs, usize::MAX)?;
+        let warm = self.run_loop(&mut NoObs)?;
         let stream = self.l2_capture.take().unwrap_or_default();
-        let record = self.into_record()?;
+        let record = self.into_record(warm)?;
         Ok((record, stream))
     }
 
-    /// Whether the whole trace has committed.
-    pub(crate) fn finished(&self) -> bool {
-        self.committed >= self.kinds.len()
-    }
-
-    /// Instructions committed so far (the lockstep driver's progress
-    /// cursor).
-    pub(crate) fn progress(&self) -> usize {
-        self.committed
-    }
-
-    /// Advances the machine until at least `target` instructions have
-    /// committed (or the trace ends). The loop body never reads `target`
-    /// beyond the continuation condition, and all loop-carried state lives
-    /// in fields, so chunked stepping is bit-identical to one
-    /// uninterrupted run — the property the lockstep batch driver relies
-    /// on (pinned by `tests/batch_sim.rs`).
-    pub(crate) fn step_until<O: SimObs>(
-        &mut self,
-        obs: &mut O,
-        target: usize,
-    ) -> Result<(), CheckError> {
+    /// Steps the machine until the whole trace has committed, returning
+    /// the statistics snapshot taken at the end of warm-up.
+    fn run_loop<O: SimObs>(&mut self, obs: &mut O) -> Result<WarmSnapshot, CheckError> {
         let warmup = self.options.warmup;
         let n = self.kinds.len();
-        let target = target.min(n);
+        let mut warm: Option<WarmSnapshot> = None;
+        // Last cycle that committed anything (deadlock watchdog).
+        let mut last_commit_cycle = 0;
 
-        while self.committed < target {
+        while self.committed < n {
             self.cycle += 1;
             self.counters.cycles += 1;
 
@@ -859,10 +705,10 @@ impl<'t> Pipeline<'t> {
                 0
             };
             if committed_now > 0 {
-                self.last_commit_cycle = self.cycle;
+                last_commit_cycle = self.cycle;
             }
             assert!(
-                self.cycle - self.last_commit_cycle < 2_000_000,
+                self.cycle - last_commit_cycle < 2_000_000,
                 "pipeline deadlock at cycle {} (committed {}/{}, cfg {})",
                 self.cycle,
                 self.committed,
@@ -923,10 +769,8 @@ impl<'t> Pipeline<'t> {
                 }
             }
 
-            if self.warm_counters.is_none() && self.committed >= warmup {
-                self.warm_counters = Some(self.counters);
-                self.warm_cycle = self.cycle;
-                self.warm_rates = Some(self.rates_snapshot());
+            if warm.is_none() && self.committed >= warmup {
+                warm = Some(self.warm_snapshot());
             }
 
             // Event-driven fast-forward: jump the clock over cycles in
@@ -941,13 +785,12 @@ impl<'t> Pipeline<'t> {
                 self.counters.cycles += skip;
             }
         }
-        Ok(())
+        Ok(warm.unwrap_or_default())
     }
 
     /// Final checks and measured-phase result assembly, after the trace
     /// has fully committed.
-    pub(crate) fn into_record(mut self) -> Result<RunRecord, CheckError> {
-        debug_assert!(self.finished());
+    fn into_record(mut self, w: WarmSnapshot) -> Result<RunRecord, CheckError> {
         let warmup = self.options.warmup;
         let n = self.kinds.len();
 
@@ -955,18 +798,10 @@ impl<'t> Pipeline<'t> {
             self.final_checks(&chk)?;
         }
 
-        let warm_counters = self.warm_counters.unwrap_or_default();
-        let measured = self.counters.since(&warm_counters);
+        let measured = self.counters.since(&w.counters);
         let instructions = (n - warmup.min(n)) as u64;
-        let cycles = self.cycle - self.warm_cycle;
+        let cycles = self.cycle - w.cycle;
         let energy_nj = measured.total_nj(&self.energy_model);
-        let zero = MissRateSnapshot {
-            l1i: (0, 0),
-            l1d: (0, 0),
-            l2: (0, 0),
-            bp: (0, 0),
-        };
-        let w = self.warm_rates.unwrap_or(zero);
         let rate = |acc: u64, miss: u64, w_acc: u64, w_miss: u64| {
             let a = acc - w_acc;
             if a == 0 {
@@ -975,14 +810,17 @@ impl<'t> Pipeline<'t> {
                 (miss - w_miss) as f64 / a as f64
             }
         };
-        let (ic_acc, ic_miss) = self.frontend.icache_stats();
-        let (bp_pred, bp_miss) = self.frontend.bpred_stats();
         let result = SimResult {
             instructions,
             cycles,
             energy_nj,
             ipc: instructions as f64 / cycles.max(1) as f64,
-            l1i_miss_rate: rate(ic_acc, ic_miss, w.l1i.0, w.l1i.1),
+            l1i_miss_rate: rate(
+                self.icache.accesses(),
+                self.icache.misses(),
+                w.l1i.0,
+                w.l1i.1,
+            ),
             l1d_miss_rate: rate(
                 self.dcache.accesses(),
                 self.dcache.misses(),
@@ -993,7 +831,12 @@ impl<'t> Pipeline<'t> {
                 let (own_acc, own_miss) = self.own_l2_stats();
                 rate(own_acc, own_miss, w.l2.0, w.l2.1)
             },
-            bpred_miss_rate: rate(bp_pred, bp_miss, w.bp.0, w.bp.1),
+            bpred_miss_rate: rate(
+                self.gshare.predictions(),
+                self.gshare.mispredictions(),
+                w.bp.0,
+                w.bp.1,
+            ),
         };
         Ok(RunRecord {
             result,
@@ -1010,17 +853,17 @@ impl<'t> Pipeline<'t> {
         let n = self.kinds.len() as u64;
         chk.on_finish(self.kinds.len())?;
 
-        // Per-structure self-consistency (a planned front end validates
-        // the shared plan structures plus exact plan consumption).
-        self.frontend.check_invariants()?;
+        // Per-structure self-consistency.
+        self.icache.check_invariants("l1i")?;
+        self.gshare.check_invariants()?;
+        self.btb.check_invariants()?;
         self.dcache.check_invariants("l1d")?;
         self.l2.check_invariants("l2")?;
 
         // Pipeline event counters vs the structures' own statistics.
         let c = &self.counters;
-        let (ic_acc, ic_miss) = self.frontend.icache_stats();
-        let (bp_pred, _) = self.frontend.bpred_stats();
-        check::reconcile("icache-accesses", c.icache_accesses, ic_acc)?;
+        let ic_miss = self.icache.misses();
+        check::reconcile("icache-accesses", c.icache_accesses, self.icache.accesses())?;
         check::reconcile("dcache-accesses", c.dcache_accesses, self.dcache.accesses())?;
         // The L2 totals include any co-running intruder's accesses; the
         // lane's own counters must match the own share exactly.
@@ -1032,7 +875,11 @@ impl<'t> Pipeline<'t> {
             ic_miss + self.dcache.misses(),
         )?;
         check::reconcile("l2-misses-feed-memory", c.memory_accesses, own_l2_miss)?;
-        check::reconcile("bpred-accesses", c.bpred_accesses, bp_pred)?;
+        check::reconcile(
+            "bpred-accesses",
+            c.bpred_accesses,
+            self.gshare.predictions(),
+        )?;
 
         // Every trace instruction flows through each stage exactly once.
         check::reconcile("fetched-count", c.fetched, n)?;
@@ -1051,12 +898,14 @@ impl<'t> Pipeline<'t> {
         Ok(())
     }
 
-    fn rates_snapshot(&self) -> MissRateSnapshot {
-        MissRateSnapshot {
-            l1i: self.frontend.icache_stats(),
+    fn warm_snapshot(&self) -> WarmSnapshot {
+        WarmSnapshot {
+            counters: self.counters,
+            cycle: self.cycle,
+            l1i: (self.icache.accesses(), self.icache.misses()),
             l1d: (self.dcache.accesses(), self.dcache.misses()),
             l2: self.own_l2_stats(),
-            bp: self.frontend.bpred_stats(),
+            bp: (self.gshare.predictions(), self.gshare.mispredictions()),
         }
     }
 
@@ -1625,7 +1474,7 @@ impl<'t> Pipeline<'t> {
             let line = pc >> self.l1_line_shift;
             if line != self.last_fetch_line {
                 self.counters.icache_accesses += 1;
-                let outcome = self.frontend.icache_access(pc);
+                let outcome = self.icache.access(pc);
                 self.last_fetch_line = line;
                 if outcome == CacheOutcome::Miss {
                     let ready = self.l2_access(pc, self.cycle);
@@ -1642,7 +1491,18 @@ impl<'t> Pipeline<'t> {
                 self.counters.btb_accesses += 1;
                 let taken = self.takens[idx];
                 let target = self.targets[idx];
-                let correct = self.frontend.branch_access(pc, taken, target);
+                let pred_taken = self.gshare.predict(pc);
+                let btb_target = self.btb.lookup(pc);
+                // A taken prediction is only useful with a correct target.
+                let correct = if taken {
+                    pred_taken && btb_target == Some(target)
+                } else {
+                    !pred_taken
+                };
+                self.gshare.update(pc, taken);
+                if taken {
+                    self.btb.update(pc, target);
+                }
                 self.unresolved[self.unresolved_len] = idx as u32;
                 self.unresolved_len += 1;
                 self.complete[idx & self.cmask] = u64::MAX;

@@ -11,7 +11,8 @@
 //! The pool size comes from the `ARCHDSE_THREADS` environment variable and
 //! defaults to [`std::thread::available_parallelism`]. `ARCHDSE_THREADS=1`
 //! forces the serial path, which the determinism tests use to check that
-//! parallel output is bit-identical to serial output.
+//! parallel output is bit-identical to serial output. A value that is not
+//! a positive integer panics rather than silently using the default.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -19,21 +20,32 @@ use std::sync::Mutex;
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "ARCHDSE_THREADS";
 
-/// Number of worker threads to use: `ARCHDSE_THREADS` if set to a positive
-/// integer, otherwise [`std::thread::available_parallelism`] (1 if even
-/// that is unavailable). Unparsable or zero values fall back to the
-/// default rather than aborting a long run.
+/// Number of worker threads to use: `ARCHDSE_THREADS` if set, otherwise
+/// [`std::thread::available_parallelism`] (1 if even that is
+/// unavailable).
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when `ARCHDSE_THREADS` is
+/// set to anything but a positive integer.
 pub fn num_threads() -> usize {
     if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+        return parse_threads(&v).unwrap_or_else(|e| panic!("{e}"));
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Parses an `ARCHDSE_THREADS` value: a positive integer, surrounding
+/// whitespace allowed. The error names the variable and the bad value.
+fn parse_threads(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "{THREADS_ENV}={value:?} is not a positive integer thread count"
+        )),
+    }
 }
 
 /// Size of the work chunks handed to threads: large enough to amortise the
@@ -223,9 +235,20 @@ mod tests {
     #[test]
     fn num_threads_reads_env() {
         with_threads(Some("3"), || assert_eq!(num_threads(), 3));
-        with_threads(Some("garbage"), || assert!(num_threads() >= 1));
-        with_threads(Some("0"), || assert!(num_threads() >= 1));
         with_threads(None, || assert!(num_threads() >= 1));
+    }
+
+    #[test]
+    fn parse_threads_accepts_positive_integers_only() {
+        assert_eq!(parse_threads("4"), Ok(4));
+        assert_eq!(parse_threads(" 12\n"), Ok(12));
+        for bad in ["0", "", "garbage", "-1", "2.5", "4 threads"] {
+            let err = parse_threads(bad).unwrap_err();
+            assert!(
+                err.contains(THREADS_ENV) && err.contains(&format!("{bad:?}")),
+                "error for {bad:?} must name the variable and value: {err}"
+            );
+        }
     }
 
     #[test]

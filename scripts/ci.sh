@@ -20,18 +20,9 @@ cargo test -q --offline
 echo "== ARCHDSE_SANITIZE=1 cargo test -q --offline =="
 ARCHDSE_SANITIZE=1 cargo test -q --offline
 
-# The lockstep sweep path must stay sanitizable too: force both the
-# sanitizer and a batch width >1 over the batched/golden/oracle suites,
-# so the per-lane InvariantChecker cannot silently go dead on the
-# batched hot path (the suites assert checker violations still surface
-# lane-for-lane).
-echo "== ARCHDSE_SANITIZE=1 ARCHDSE_BATCH=4 batched suites =="
-ARCHDSE_SANITIZE=1 ARCHDSE_BATCH=4 cargo test -q --offline \
-  --test batch_sim --test golden_sim --test differential_oracle
-
 # The explorer's ground-truth simulations must stay sanitizable: force
 # the checker over the frontier/determinism suites (the determinism one
-# also pins byte-identity across thread/batch settings under sanitize).
+# also pins byte-identity across thread settings under sanitize).
 echo "== ARCHDSE_SANITIZE=1 explore suites =="
 ARCHDSE_SANITIZE=1 cargo test -q --offline \
   --test explore_frontier --test explore_determinism
@@ -61,23 +52,16 @@ else
   [ -s "$OBS_DIR/spans.jsonl" ] || { echo "train --obs json emitted no spans"; exit 1; }
   cargo run --release --offline -q -- obs report "$OBS_DIR/spans.jsonl"
 
-  # Stage profiler smoke: the per-stage host-time attribution must work
-  # on both the scalar and lockstep stepping paths and emit its
-  # machine-readable line. (Output goes to a file first — the CLI
+  # Stage profiler smoke: the per-stage host-time attribution must emit
+  # its machine-readable line. (Output goes to a file first — the CLI
   # binaries die on SIGPIPE, so never pipe their stdout into grep -q.)
-  echo "== obs smoke: simulate --profile-stages (scalar + lockstep) =="
-  ARCHDSE_BATCH=1 cargo run --release --offline -q -- simulate gzip --profile-stages \
-    >"$OBS_DIR/stages-scalar.txt"
-  grep -q "mode *: *scalar" "$OBS_DIR/stages-scalar.txt" \
-    || { echo "scalar stage profile missing"; cat "$OBS_DIR/stages-scalar.txt"; exit 1; }
-  grep -q "stageprof-json:" "$OBS_DIR/stages-scalar.txt" \
-    || { echo "stage profile missing machine-readable line"; exit 1; }
-  grep -q '"issue"' "$OBS_DIR/stages-scalar.txt" \
+  echo "== obs smoke: simulate --profile-stages =="
+  cargo run --release --offline -q -- simulate gzip --profile-stages \
+    >"$OBS_DIR/stages.txt"
+  grep -q "stageprof-json:" "$OBS_DIR/stages.txt" \
+    || { echo "stage profile missing machine-readable line"; cat "$OBS_DIR/stages.txt"; exit 1; }
+  grep -q '"issue"' "$OBS_DIR/stages.txt" \
     || { echo "stage profile missing issue bucket"; exit 1; }
-  ARCHDSE_BATCH=4 cargo run --release --offline -q -- simulate gzip --profile-stages \
-    >"$OBS_DIR/stages-batch.txt"
-  grep -q "mode *: *lockstep" "$OBS_DIR/stages-batch.txt" \
-    || { echo "batched stage profile did not run lockstep"; cat "$OBS_DIR/stages-batch.txt"; exit 1; }
 
   # Flight-recorder smoke: serve the obs-gate's tiny models, make one
   # predict, and follow its request id from the response header into the
@@ -118,9 +102,7 @@ fi
 
 # Perf gate: quick bench run compared against the committed baseline
 # (BENCH_sim.json); a >25% regression of any row's min iteration fails the build.
-# The sweep-w4/w8 rows run the lockstep SweepEngine, so this is also the
-# quick batched smoke. Constrained or noisy runners can skip it with
-# DSE_BENCH_SKIP=1.
+# Constrained or noisy runners can skip it with DSE_BENCH_SKIP=1.
 if [ "${DSE_BENCH_SKIP:-0}" = "1" ]; then
   echo "== bench gate skipped (DSE_BENCH_SKIP=1) =="
 else
@@ -150,10 +132,7 @@ else
   echo "== serve smoke: train -> serve -> client fit/predict -> shutdown =="
   SMOKE_DIR="$(mktemp -d)"
   trap 'rm -rf "$SMOKE_DIR"; [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
-  # ARCHDSE_BATCH=8 makes this train run double as the end-to-end
-  # batched dataset-generation smoke (sweeps schedule through the
-  # lockstep engine; results are width-independent by construction).
-  ARCHDSE_BATCH=8 cargo run --release --offline -q -- train \
+  cargo run --release --offline -q -- train \
     --out "$SMOKE_DIR/models" --benchmarks 3 --configs 40 --t 30
   cargo run --release --offline -q -- serve \
     --models "$SMOKE_DIR/models" --addr 127.0.0.1:0 >"$SMOKE_DIR/serve.log" 2>&1 &
@@ -206,7 +185,7 @@ fi
 # the imported store, serve them, and fit/predict the external program
 # over HTTP — the full front-door path on programs that exist in no
 # built-in suite. A co-run simulate runs sanitized, twice with different
-# thread/batch settings, and must be byte-identical. Skip with
+# thread settings, and must be byte-identical. Skip with
 # DSE_INGEST_SKIP=1.
 if [ "${DSE_INGEST_SKIP:-0}" = "1" ]; then
   echo "== ingest smoke skipped (DSE_INGEST_SKIP=1) =="
@@ -258,14 +237,14 @@ else
   cargo run --release --offline -q -- client "$ADDR" shutdown
   wait "$INGEST_PID"
   INGEST_PID=""
-  # Co-run smoke: sanitized, and byte-identical across thread/batch
-  # settings (the co-run passes are scalar by construction).
+  # Co-run smoke: sanitized, and byte-identical across thread settings
+  # (the co-run passes run serially).
   ARCHDSE_SANITIZE=1 cargo run --release --offline -q -- \
     simulate gzip --corun mcf --sanitize >"$INGEST_DIR/corun1.txt"
-  ARCHDSE_SANITIZE=1 ARCHDSE_THREADS=3 ARCHDSE_BATCH=4 cargo run --release --offline -q -- \
+  ARCHDSE_SANITIZE=1 ARCHDSE_THREADS=3 cargo run --release --offline -q -- \
     simulate gzip --corun mcf --sanitize >"$INGEST_DIR/corun2.txt"
   cmp "$INGEST_DIR/corun1.txt" "$INGEST_DIR/corun2.txt" \
-    || { echo "co-run output depends on thread/batch settings"; exit 1; }
+    || { echo "co-run output depends on thread settings"; exit 1; }
   rm -rf "$INGEST_DIR"
   trap - EXIT
   echo "== ingest smoke passed =="

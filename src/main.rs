@@ -333,77 +333,38 @@ fn cmd_simulate(args: &[String]) -> i32 {
 }
 
 /// `simulate <bench> --profile-stages`: attributes stepped-cycle host
-/// time to the five pipeline stages. Honors `ARCHDSE_BATCH`: width 1
-/// times the scalar live path, width > 1 runs that many identical
-/// lockstep lanes through [`archdse::sim::SweepEngine`] and merges the
-/// per-lane profiles, so the batched stepping cost is what is measured.
+/// time to the five pipeline stages.
 fn simulate_stages_cli(
     cfg: &dse_space::Config,
     bench: &str,
     profile: &dse_workload::Profile,
     sanitize: bool,
 ) -> i32 {
-    use archdse::sim::{Metrics, StageProf, SweepEngine};
+    use archdse::sim::{Metrics, StageProf};
     let trace = TraceGenerator::new(profile).generate(60_000);
     let options = archdse::sim::SimOptions {
         sanitize,
         ..archdse::sim::SimOptions::with_warmup(15_000)
     };
-    let width = archdse::sim::batch_width();
-    let mut merged = StageProf::default();
-    let record = if width <= 1 {
-        let pipeline = archdse::sim::Pipeline::new(
-            cfg,
-            &dse_space::ConstantParams::standard(),
-            &trace,
-            options,
-        );
-        match pipeline.try_run_full_obs(&mut merged) {
-            Ok(rec) => rec,
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        }
-    } else {
-        let cfgs = vec![*cfg; width];
-        let engine = SweepEngine::new(
-            &cfgs,
-            &dse_space::ConstantParams::standard(),
-            &trace,
-            options,
-            width,
-        );
-        let mut profs = vec![StageProf::default(); width];
-        let mut recs = engine.run_range_obs(0..width, &mut profs);
-        for p in &profs {
-            merged.merge(p);
-        }
-        match recs.swap_remove(0) {
-            Ok(rec) => rec,
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
+    let mut prof = StageProf::default();
+    let pipeline =
+        archdse::sim::Pipeline::new(cfg, &dse_space::ConstantParams::standard(), &trace, options);
+    let record = match pipeline.try_run_full_obs(&mut prof) {
+        Ok(rec) => rec,
+        Err(e) => {
+            eprintln!("{e}");
+            return 1;
         }
     };
     let m = Metrics::from_result(&record.result);
     println!("benchmark : {bench}");
     println!("config    : {cfg}");
-    println!(
-        "mode      : {}",
-        if width <= 1 {
-            "scalar".to_string()
-        } else {
-            format!("lockstep width {width}")
-        }
-    );
     println!("IPC       : {:.3}", record.result.ipc);
     println!("cycles    : {:.4e} /10M-instr phase", m.cycles);
     println!();
-    println!("{}", merged.pretty());
+    println!("{}", prof.pretty());
     println!();
-    println!("stageprof-json: {}", merged.to_json());
+    println!("stageprof-json: {}", prof.to_json());
     0
 }
 

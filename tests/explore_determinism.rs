@@ -1,35 +1,29 @@
 //! Frontier determinism: for a fixed seed the serialized `Frontier` is
-//! byte-identical across `ARCHDSE_THREADS` ∈ {1, 4, unset} ×
-//! `ARCHDSE_BATCH` ∈ {1, 8}, and a tiny-budget run is pinned against
-//! golden values so silent drift in the acquisition loop fails loudly.
+//! byte-identical across `ARCHDSE_THREADS` ∈ {1, 4, unset}, and a
+//! tiny-budget run is pinned against golden values so silent drift in
+//! the acquisition loop fails loudly.
 //!
 //! Env-var mutation is process-global, so both tests serialise on one
-//! mutex and restore the variables before returning.
+//! mutex and restore the variable before returning.
 
 use archdse::explore::{
     Constraints, ExploreBudget, Explorer, MetricPredictor, Objective, SimOracle,
 };
 use archdse::prelude::*;
-use dse_sim::batch::BATCH_ENV;
 use dse_util::json::{FromJson, ToJson};
 use dse_util::par::THREADS_ENV;
 use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-fn with_env<R>(threads: Option<&str>, batch: Option<&str>, body: impl FnOnce() -> R) -> R {
+fn with_threads<R>(threads: Option<&str>, body: impl FnOnce() -> R) -> R {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     match threads {
         Some(v) => std::env::set_var(THREADS_ENV, v),
         None => std::env::remove_var(THREADS_ENV),
     }
-    match batch {
-        Some(v) => std::env::set_var(BATCH_ENV, v),
-        None => std::env::remove_var(BATCH_ENV),
-    }
     let r = body();
     std::env::remove_var(THREADS_ENV);
-    std::env::remove_var(BATCH_ENV);
     r
 }
 
@@ -79,17 +73,14 @@ fn run_explore() -> String {
 }
 
 #[test]
-fn frontier_json_is_bit_identical_across_threads_and_batch() {
-    let baseline = with_env(Some("1"), Some("1"), run_explore);
-    for threads in [Some("1"), Some("4"), None] {
-        for batch in [Some("1"), Some("8")] {
-            let json = with_env(threads, batch, run_explore);
-            assert_eq!(
-                json, baseline,
-                "ARCHDSE_THREADS={threads:?} × ARCHDSE_BATCH={batch:?} \
-                 drifted from the 1×1 frontier"
-            );
-        }
+fn frontier_json_is_bit_identical_across_threads() {
+    let baseline = with_threads(Some("1"), run_explore);
+    for threads in [Some("4"), None] {
+        let json = with_threads(threads, run_explore);
+        assert_eq!(
+            json, baseline,
+            "ARCHDSE_THREADS={threads:?} drifted from the 1-thread frontier"
+        );
     }
 }
 
@@ -99,7 +90,7 @@ fn frontier_json_is_bit_identical_across_threads_and_batch() {
 /// that moves these values must update the golden block *consciously*.
 #[test]
 fn tiny_budget_frontier_matches_golden() {
-    let json = with_env(Some("1"), Some("1"), run_explore);
+    let json = with_threads(Some("1"), run_explore);
     let frontier =
         archdse::explore::Frontier::from_json(&dse_util::json::Json::parse(&json).unwrap())
             .unwrap();

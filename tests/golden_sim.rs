@@ -13,10 +13,8 @@
 //! grid is thinned to the checkerboard `(pi + ci) % 2 == 0`.
 
 use dse_rng::Xoshiro256;
-use dse_sim::{
-    simulate_detailed, simulate_profiled, try_simulate_batch_records, SimOptions, SimResult,
-};
-use dse_space::{sample_legal, ConstantParams};
+use dse_sim::{simulate_detailed, simulate_profiled, SimOptions, SimResult};
+use dse_space::sample_legal;
 use dse_workload::{suites, TraceGenerator};
 
 const TRACE_LEN: usize = 12_000;
@@ -76,63 +74,6 @@ fn sim_results_match_pre_optimization_golden_values() {
                 e.to_bits(),
                 "{name} × config[{ci}]: {field} drifted: got {g:?}, want {e:?}"
             );
-        }
-    }
-}
-
-/// The lockstep batched path (`ARCHDSE_BATCH>1` semantics) must produce
-/// the same golden values: each profile's four sampled configs run as one
-/// width-4 batch over a single shared trace, and every golden lane is
-/// compared bit-for-bit against the pre-rewrite snapshot.
-#[test]
-fn batched_lanes_match_golden_values() {
-    let mut rng = Xoshiro256::seed_from(SEED);
-    let configs = sample_legal(&mut rng, 4);
-    let opts = SimOptions::with_warmup(WARMUP);
-
-    for name in ["gzip", "gcc", "art", "sha"] {
-        let profile = suites::all_benchmarks()
-            .into_iter()
-            .find(|p| p.name == name)
-            .unwrap_or_else(|| panic!("profile {name} missing"));
-        let trace = TraceGenerator::new(&profile).generate(TRACE_LEN);
-        let records =
-            try_simulate_batch_records(&configs, &ConstantParams::standard(), &trace, opts);
-        assert_eq!(records.len(), configs.len(), "{name}: lane count drifted");
-        for (gname, ci, expected) in golden() {
-            if gname != name {
-                continue;
-            }
-            let got = records[ci]
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{name} × config[{ci}]: batched lane failed: {e}"))
-                .result;
-            assert_eq!(
-                got.instructions, expected.instructions,
-                "{name} × config[{ci}]: instructions drifted under batching"
-            );
-            assert_eq!(
-                got.cycles, expected.cycles,
-                "{name} × config[{ci}]: cycles drifted under batching"
-            );
-            for (field, g, e) in [
-                ("energy_nj", got.energy_nj, expected.energy_nj),
-                ("ipc", got.ipc, expected.ipc),
-                ("l1i_miss_rate", got.l1i_miss_rate, expected.l1i_miss_rate),
-                ("l1d_miss_rate", got.l1d_miss_rate, expected.l1d_miss_rate),
-                ("l2_miss_rate", got.l2_miss_rate, expected.l2_miss_rate),
-                (
-                    "bpred_miss_rate",
-                    got.bpred_miss_rate,
-                    expected.bpred_miss_rate,
-                ),
-            ] {
-                assert_eq!(
-                    g.to_bits(),
-                    e.to_bits(),
-                    "{name} × config[{ci}]: {field} drifted under batching: got {g:?}, want {e:?}"
-                );
-            }
         }
     }
 }

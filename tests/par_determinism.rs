@@ -105,7 +105,7 @@ fn par_map_bit_identical_to_serial_at_1_2_and_8_threads() {
 #[test]
 fn dataset_generation_is_thread_count_independent() {
     // The acceptance-criterion experiment: >= 64 configs, ARCHDSE_THREADS
-    // 1 vs 4, bit-identical output.
+    // 1 vs 4 vs unset, bit-identical output.
     let profiles: Vec<Profile> = archdse::workload::suites::spec2000()
         .into_iter()
         .take(2)
@@ -123,6 +123,8 @@ fn dataset_generation_is_thread_count_independent() {
     let parallel_time = t0.elapsed();
 
     assert_eq!(serial, parallel, "dataset differs between 1 and 4 threads");
+    let auto = with_threads_opt(None, || SuiteDataset::generate(&profiles, &spec));
+    assert_eq!(serial, auto, "dataset differs between 1 thread and unset");
     eprintln!(
         "[par] generate 64 cfgs x 2 benchmarks: 1 thread {:.2}s, 4 threads {:.2}s ({:.2}x)",
         serial_time.as_secs_f64(),
@@ -136,54 +138,6 @@ fn dataset_generation_is_thread_count_independent() {
             parallel_time.as_secs_f64() < serial_time.as_secs_f64() / 2.0,
             "expected >= 2x speedup on a {cores}-core host: serial {serial_time:?}, parallel {parallel_time:?}"
         );
-    }
-}
-
-/// The batched sweep scheduler must be a pure performance knob: dataset
-/// generation is bit-identical across `ARCHDSE_BATCH` ∈ {1, 4, unset} ×
-/// `ARCHDSE_THREADS` ∈ {1, 4, unset}. Width 1 is the legacy scalar
-/// schedule, 4 forces ragged batches (65 columns per benchmark), and
-/// unset exercises the default width.
-#[test]
-fn dataset_generation_is_batch_width_independent() {
-    use dse_sim::BATCH_ENV;
-
-    let profiles: Vec<Profile> = archdse::workload::suites::spec2000()
-        .into_iter()
-        .take(2)
-        .collect();
-    let spec = DatasetSpec {
-        n_configs: 64,
-        ..DatasetSpec::tiny()
-    };
-    let generate = |batch: Option<&str>, threads: Option<&str>| {
-        with_threads_opt(threads, || {
-            // Safe under ENV_LOCK (held by with_threads_opt's closure).
-            match batch {
-                Some(v) => std::env::set_var(BATCH_ENV, v),
-                None => std::env::remove_var(BATCH_ENV),
-            }
-            let ds = SuiteDataset::generate(&profiles, &spec);
-            std::env::remove_var(BATCH_ENV);
-            ds
-        })
-    };
-
-    let reference = generate(Some("1"), Some("1"));
-    for batch in [Some("1"), Some("4"), None] {
-        for threads in [Some("1"), Some("4"), None] {
-            if (batch, threads) == (Some("1"), Some("1")) {
-                continue;
-            }
-            let out = generate(batch, threads);
-            assert_eq!(
-                out,
-                reference,
-                "ARCHDSE_BATCH={} × ARCHDSE_THREADS={} differs from the 1×1 schedule",
-                batch.unwrap_or("unset"),
-                threads.unwrap_or("unset")
-            );
-        }
     }
 }
 
