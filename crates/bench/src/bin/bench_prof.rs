@@ -2,8 +2,8 @@
 //! statistics, so external profilers (or interleaved
 //! A/B timing against a reference build) attribute time cleanly to the
 //! pipeline hot loop. `PROF_SIMS` sets the simulation count and
-//! `PROF_CFG=tiny` swaps the baseline machine for the narrow
-//! stall-heavy configuration from `bench_sim`'s tiny-config row.
+//! `PROF_CFG=tiny` swaps the baseline machine for a narrow, stall-heavy
+//! configuration.
 //!
 //! `--stages` switches to the built-in stage profiler instead: each row
 //! (default/tiny config) runs `PROF_SIMS` repeats under
@@ -12,11 +12,11 @@
 //! stdout otherwise). This is the regenerable evidence behind the
 //! "issue stage dominates" claim in ROADMAP Open item 1.
 
-use dse_bench::harness::black_box;
 use dse_sim::{simulate, simulate_stage_profiled, SimOptions, StageProf};
 use dse_space::Config;
 use dse_util::json::{Json, ToJson};
 use dse_workload::{suites, Trace, TraceGenerator};
+use std::hint::black_box;
 
 const TRACE_LEN: usize = 20_000;
 const WARMUP: usize = 2_000;

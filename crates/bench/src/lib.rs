@@ -1,5 +1,5 @@
 //! Shared infrastructure for the experiment binaries (one per paper table
-//! and figure) and the in-repo performance benches.
+//! and figure).
 //!
 //! Experiment binaries live in `src/bin/` (`table1`, `fig01` … `fig14`,
 //! `ablation_*`) and all draw on the same cached dataset: 45 benchmarks
@@ -8,11 +8,9 @@
 //! `DSE_DATA_DIR` environment variable). Reduced scale for smoke runs can
 //! be requested with `DSE_QUICK=1`.
 //!
-//! Performance benches (`bench_sim`, `bench_ml`, `bench_predictor`,
-//! `bench_components`) are ordinary binaries built on [`harness`]; run
-//! them with `cargo run --release -p dse-bench --bin bench_sim`.
-
-pub mod harness;
+//! `bench_prof` is the one profiling binary: repeated simulations for an
+//! external profiler, or `--stages` for the committed stage profile.
+//! Performance is measured by the separate `benchmark/` package.
 
 use dse_core::dataset::{DatasetSpec, SuiteDataset};
 use std::path::PathBuf;

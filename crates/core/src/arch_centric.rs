@@ -280,7 +280,8 @@ impl OfflineModel {
         // One column of per-program predictions per ANN.
         let mut cols = vec![0.0; n_models * n_rows];
         for (k, m) in self.models.iter().enumerate() {
-            m.predict_batch_into(features, n_rows, &mut cols[k * n_rows..(k + 1) * n_rows]);
+            m.net()
+                .predict_batch_into(features, n_rows, &mut cols[k * n_rows..(k + 1) * n_rows]);
         }
         let mut per_program = vec![0.0; n_models];
         for (r, o) in out.iter_mut().take(n_rows).enumerate() {
@@ -357,24 +358,6 @@ impl ArchCentricPredictor {
     /// combination).
     pub fn predict(&self, features: &[f64]) -> f64 {
         self.offline.predict_with(&self.reg, features)
-    }
-
-    /// Predicts a batch through the batched matrix–matrix forward
-    /// (bit-identical to per-row [`ArchCentricPredictor::predict`]).
-    pub fn predict_batch(&self, features: &[Vec<f64>]) -> Vec<f64> {
-        if features.is_empty() {
-            return Vec::new();
-        }
-        let dim = features[0].len();
-        let mut flat = Vec::with_capacity(features.len() * dim);
-        for f in features {
-            assert_eq!(f.len(), dim, "rows must have equal length");
-            flat.extend_from_slice(f);
-        }
-        let mut out = vec![0.0; features.len()];
-        self.offline
-            .predict_with_batch_into(&self.reg, &flat, features.len(), &mut out);
-        out
     }
 
     /// The fitted per-program combination weights (β₁…β_N).
@@ -522,6 +505,36 @@ mod tests {
             library.predict(&features[0]).to_bits(),
             rebuilt.predict(&features[0]).to_bits()
         );
+    }
+
+    #[test]
+    fn batched_prediction_matches_per_row_predict_bit_for_bit() {
+        // The serving layer answers `/v1/predict_batch` through
+        // `predict_with_batch_into`; every row must equal the scalar
+        // `ArchCentricPredictor::predict`, across block boundaries and a
+        // ragged tail.
+        let ds = small_dataset(4, 40);
+        let metric = dse_sim::Metric::Cycles;
+        let m = OfflineModel::train(&ds, &[0, 1, 2], metric, 30, &MlpConfig::default(), 9);
+        let idxs: Vec<usize> = (0..16).collect();
+        let values: Vec<f64> = idxs
+            .iter()
+            .map(|&i| ds.benchmarks[3].metrics[i].get(metric))
+            .collect();
+        let predictor = m.fit_responses(&ds, &idxs, &values);
+        let features = ds.features();
+        for n in [0, 1, 7, 8, 37] {
+            let rows = &features[..n];
+            let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+            let mut out = vec![f64::NAN; n];
+            predictor
+                .offline
+                .predict_with_batch_into(&predictor.reg, &flat, n, &mut out);
+            for (i, (row, b)) in rows.iter().zip(&out).enumerate() {
+                let s = predictor.predict(row);
+                assert_eq!(s.to_bits(), b.to_bits(), "n={n} row {i}: {s:e} vs {b:e}");
+            }
+        }
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl HybridPredictor {
                 .predict(features),
         }
     }
-
-    /// Predicts a batch.
-    pub fn predict_batch(&self, features: &[Vec<f64>]) -> Vec<f64> {
-        features.iter().map(|f| self.predict(f)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -71,18 +71,6 @@ impl ProgramSpecificPredictor {
         self.net.predict(features)
     }
 
-    /// Predicts a batch.
-    pub fn predict_batch(&self, features: &[Vec<f64>]) -> Vec<f64> {
-        self.net.predict_batch(features)
-    }
-
-    /// Predicts a flat row-major batch into a caller-provided buffer
-    /// (see [`Mlp::predict_batch_into`]); bit-identical to per-row
-    /// [`ProgramSpecificPredictor::predict`].
-    pub fn predict_batch_into(&self, features: &[f64], n_rows: usize, out: &mut [f64]) {
-        self.net.predict_batch_into(features, n_rows, out);
-    }
-
     /// Reassembles a predictor from a deserialised network — the loading
     /// half of the model artifact store.
     pub fn from_parts(program: String, metric: Metric, net: Mlp) -> Self {

@@ -131,11 +131,6 @@ impl LinearRegression {
         assert_eq!(x.len(), self.weights.len(), "feature width mismatch");
         self.intercept + x.iter().zip(&self.weights).map(|(a, b)| a * b).sum::<f64>()
     }
-
-    /// Predicts a batch of rows.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
 }
 
 impl ToJson for LinearRegression {
@@ -214,7 +209,7 @@ mod tests {
             .map(|x| 3.0 * x[0] + x[1] + (rng.next_f64() - 0.5))
             .collect();
         let m = LinearRegression::fit(&xs, &ys, true);
-        let preds = m.predict_batch(&xs);
+        let preds: Vec<f64> = xs.iter().map(|x| m.predict(x)).collect();
         assert!(correlation(&preds, &ys) > 0.98);
     }
 
@@ -247,7 +242,8 @@ mod tests {
             assert!((got - want).abs() < 5e-3, "weight {got} vs {want}");
         }
         assert!((m.intercept() - 7.5).abs() < 5e-3);
-        for (pred, y) in m.predict_batch(&xs).iter().zip(&ys) {
+        for (x, y) in xs.iter().zip(&ys) {
+            let pred = m.predict(x);
             assert!((pred - y).abs() < 1e-2, "prediction {pred} vs {y}");
         }
     }

@@ -218,26 +218,6 @@ impl Mlp {
         out * self.y_std + self.y_mean
     }
 
-    /// Predicts a batch of rows.
-    ///
-    /// Convenience shim over [`Mlp::predict_batch_into`]: flattens the
-    /// rows into one contiguous buffer and runs the blocked forward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row does not match the training dimensionality.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let d = self.input_dim;
-        let mut flat = Vec::with_capacity(xs.len() * d);
-        for x in xs {
-            assert_eq!(x.len(), d, "input dimension mismatch");
-            flat.extend_from_slice(x);
-        }
-        let mut out = vec![0.0; xs.len()];
-        self.predict_batch_into(&flat, xs.len(), &mut out);
-        out
-    }
-
     /// True matrix–matrix forward over a flat row-major batch:
     /// `xs[r * input_dim + i]` is feature `i` of row `r`, and the `r`-th
     /// prediction lands in `out[r]`.
@@ -394,7 +374,7 @@ mod tests {
         let xs = grid2(256);
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x[0] - 2.0 * x[1] + 5.0).collect();
         let net = Mlp::train(&xs, &ys, &MlpConfig::default());
-        let preds = net.predict_batch(&xs);
+        let preds: Vec<f64> = xs.iter().map(|x| net.predict(x)).collect();
         assert!(correlation(&preds, &ys) > 0.99);
     }
 
@@ -408,7 +388,7 @@ mod tests {
             ..MlpConfig::default()
         };
         let net = Mlp::train(&xs, &ys, &cfg);
-        let preds = net.predict_batch(&xs);
+        let preds: Vec<f64> = xs.iter().map(|x| net.predict(x)).collect();
         assert!(
             correlation(&preds, &ys) > 0.95,
             "corr {}",
@@ -429,7 +409,7 @@ mod tests {
             ..MlpConfig::default()
         };
         let net = Mlp::train(&xs, &ys, &cfg);
-        let preds = net.predict_batch(&xs);
+        let preds: Vec<f64> = xs.iter().map(|x| net.predict(x)).collect();
         let rmse = (preds
             .iter()
             .zip(&ys)
@@ -478,7 +458,8 @@ mod tests {
                 .collect();
             let ys: Vec<f64> = xs.iter().map(|x| f(x) + 100.0).collect();
             let net = Mlp::train(&xs, &ys, &MlpConfig::default());
-            rmae(&net.predict_batch(&test), &test_y)
+            let preds: Vec<f64> = test.iter().map(|x| net.predict(x)).collect();
+            rmae(&preds, &test_y)
         };
         let few = err_with(8);
         let many = err_with(512);

@@ -167,11 +167,6 @@ impl RbfNetwork {
         out * self.y_std + self.y_mean
     }
 
-    /// Predicts a batch.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
     /// Number of kernel centres in the trained model.
     pub fn centers(&self) -> usize {
         self.centers.len()
@@ -198,7 +193,7 @@ mod tests {
             .map(|x| (x[0]).sin() + x[1] * x[1] + 10.0)
             .collect();
         let net = RbfNetwork::train(&xs, &ys, &RbfConfig::default());
-        let preds = net.predict_batch(&xs);
+        let preds: Vec<f64> = xs.iter().map(|x| net.predict(x)).collect();
         assert!(
             correlation(&preds, &ys) > 0.97,
             "corr {}",
@@ -214,7 +209,7 @@ mod tests {
         let f = |x: &[f64]| x[0] * x[1] + 5.0;
         let ys: Vec<f64> = train.iter().map(|x| f(x)).collect();
         let net = RbfNetwork::train(&train, &ys, &RbfConfig::default());
-        let preds = net.predict_batch(&test);
+        let preds: Vec<f64> = test.iter().map(|x| net.predict(x)).collect();
         let actual: Vec<f64> = test.iter().map(|x| f(x)).collect();
         assert!(correlation(&preds, &actual) > 0.9);
     }

@@ -49,25 +49,12 @@ fn random_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
 fn assert_bit_identical(net: &Mlp, rows: &[Vec<f64>]) {
     let scalar: Vec<f64> = rows.iter().map(|r| net.predict(r)).collect();
 
-    // The Vec-of-rows convenience wrapper.
-    let batched = net.predict_batch(rows);
-    assert_eq!(batched.len(), rows.len());
-    for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-        assert_eq!(
-            s.to_bits(),
-            b.to_bits(),
-            "predict_batch row {i}: scalar {s:e} vs batched {b:e}"
-        );
-    }
-
-    // The flat-slice core, with an oversized output buffer to check only
-    // the first `n_rows` slots are written.
-    let dim = rows.first().map_or(0, |r| r.len());
+    // The flat row-major batch, with an oversized output buffer to check
+    // only the first `n_rows` slots are written.
     let flat: Vec<f64> = rows.iter().flatten().copied().collect();
     let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
     let mut out = vec![sentinel; rows.len() + 3];
     net.predict_batch_into(&flat, rows.len(), &mut out);
-    let _ = dim;
     for (i, (s, b)) in scalar.iter().zip(&out).enumerate() {
         assert_eq!(
             s.to_bits(),

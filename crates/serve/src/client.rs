@@ -1,9 +1,9 @@
 //! A small blocking HTTP/1.1 client for the prediction server.
 //!
-//! Used by the integration tests, the CI smoke stage and `bench_load`;
-//! also the implementation behind `archdse client`. Keeps one keep-alive
-//! connection and reconnects transparently once when the server closed it
-//! (e.g. after an error response or a drain).
+//! Used by the integration tests, the CI smoke stage and the `benchmark/`
+//! serve workload; also the implementation behind `archdse client`. Keeps
+//! one keep-alive connection and reconnects transparently once when the
+//! server closed it (e.g. after an error response or a drain).
 
 use dse_sim::Metric;
 use dse_space::Config;

@@ -1,6 +1,5 @@
 //! The nonblocking front end: sharded reactor threads over raw
-//! `epoll(7)` (with a `poll(2)` fallback), feeding complete requests to
-//! the worker pool.
+//! `epoll(7)`, feeding complete requests to the worker pool.
 //!
 //! # Architecture
 //!
@@ -19,9 +18,8 @@
 //!   bounds concurrently served connections and a full pool still sheds
 //!   with `503`.
 //! * **Parsing is incremental.** Reactors feed each connection's byte buffer
-//!   through [`crate::http::try_parse`] — the same parser the blocking
-//!   [`crate::http::read_request`] wraps — as bytes arrive, so a
-//!   slow-loris client costs a reactor a buffer, not a worker thread.
+//!   through [`crate::http::try_parse`] as bytes arrive, so a slow-loris
+//!   client costs a reactor a buffer, not a worker thread.
 //!
 //! Cross-thread signalling uses the classic self-pipe trick
 //! ([`ReactorShared::wake`]): worker threads and `Server::shutdown` push
@@ -30,8 +28,11 @@
 //! inbox on its own thread. No file descriptor is ever touched from two
 //! threads.
 //!
-//! Everything here is `std`-only: the epoll/poll bindings are hand-rolled
+//! Everything here is `std`-only: the epoll bindings are hand-rolled
 //! `extern "C"` declarations against the libc that `std` already links.
+//! The crate is Linux-only (the constants below are Linux's), so epoll is
+//! always there; a failure to create or update an epoll set is an error,
+//! never a silent fallback.
 
 use crate::http::{head_complete, try_parse, write_response, Parsed, ReadError, Request, Response};
 use crate::server::{route, State};
@@ -58,12 +59,6 @@ mod sys {
     pub const EPOLLERR: u32 = 0x8;
     pub const EPOLLHUP: u32 = 0x10;
 
-    pub const POLLIN: i16 = 0x1;
-    pub const POLLOUT: i16 = 0x4;
-    pub const POLLERR: i16 = 0x8;
-    pub const POLLHUP: i16 = 0x10;
-    pub const POLLNVAL: i16 = 0x20;
-
     pub const F_GETFL: c_int = 3;
     pub const F_SETFL: c_int = 4;
     pub const O_NONBLOCK: c_int = 0o4000;
@@ -80,14 +75,6 @@ mod sys {
         pub data: u64,
     }
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: i16,
-        pub revents: i16,
-    }
-
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -97,7 +84,6 @@ mod sys {
             maxevents: c_int,
             timeout_ms: c_int,
         ) -> c_int;
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: c_int) -> c_int;
         pub fn pipe(fds: *mut c_int) -> c_int;
         pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -137,143 +123,99 @@ struct Event {
     hup: bool,
 }
 
-/// Level-triggered readiness: epoll where available, `poll(2)` otherwise.
-///
-/// Set `DSE_SERVE_POLL=1` to force the fallback (exercised in CI so the
-/// portable path cannot rot).
-enum Poller {
-    Epoll { epfd: RawFd },
-    Poll { interest: Vec<PollInterest> },
-}
-
-struct PollInterest {
-    fd: RawFd,
-    token: u64,
-    readable: bool,
-    writable: bool,
+/// Level-triggered readiness over one epoll set.
+struct Poller {
+    epfd: RawFd,
 }
 
 impl Poller {
-    fn new() -> Self {
-        let force_poll = std::env::var_os("DSE_SERVE_POLL").is_some_and(|v| v == "1");
-        if !force_poll {
-            let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-            if epfd >= 0 {
-                return Poller::Epoll { epfd };
-            }
+    /// Creates the epoll set.
+    ///
+    /// # Errors
+    ///
+    /// `epoll_create1` failed (e.g. the fd limit was reached); the error
+    /// names the call.
+    fn new() -> io::Result<Self> {
+        // SAFETY: takes no pointers; the returned fd is owned by `Self`.
+        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(os_error("epoll_create1"));
         }
-        Poller::Poll {
-            interest: Vec::new(),
-        }
+        Ok(Self { epfd })
     }
 
-    fn epoll_mask(readable: bool, writable: bool) -> u32 {
-        // HUP and ERR are always reported by the kernel; no need to ask.
-        (if readable { sys::EPOLLIN } else { 0 }) | (if writable { sys::EPOLLOUT } else { 0 })
-    }
-
-    fn add(&mut self, fd: RawFd, token: u64, readable: bool, writable: bool) {
-        match self {
-            Poller::Epoll { epfd } => {
-                let mut ev = sys::EpollEvent {
-                    events: Self::epoll_mask(readable, writable),
-                    data: token,
-                };
-                unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) };
-            }
-            Poller::Poll { interest } => interest.push(PollInterest {
-                fd,
-                token,
-                readable,
-                writable,
-            }),
+    /// One `epoll_ctl` call; HUP and ERR are always reported by the
+    /// kernel, so only read/write interest is asked for.
+    fn ctl(
+        &self,
+        op: i32,
+        fd: RawFd,
+        token: u64,
+        readable: bool,
+        writable: bool,
+    ) -> io::Result<()> {
+        let mut ev = sys::EpollEvent {
+            events: (if readable { sys::EPOLLIN } else { 0 })
+                | (if writable { sys::EPOLLOUT } else { 0 }),
+            data: token,
+        };
+        // SAFETY: `ev` is a live, correctly laid out `epoll_event` for the
+        // call's duration; a bad `fd` is reported as an error, not UB.
+        if unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) } != 0 {
+            let name = match op {
+                sys::EPOLL_CTL_ADD => "epoll_ctl(ADD)",
+                sys::EPOLL_CTL_MOD => "epoll_ctl(MOD)",
+                _ => "epoll_ctl(DEL)",
+            };
+            return Err(os_error(name));
         }
+        Ok(())
     }
 
-    fn modify(&mut self, fd: RawFd, token: u64, readable: bool, writable: bool) {
-        match self {
-            Poller::Epoll { epfd } => {
-                let mut ev = sys::EpollEvent {
-                    events: Self::epoll_mask(readable, writable),
-                    data: token,
-                };
-                unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, &mut ev) };
-            }
-            Poller::Poll { interest } => {
-                if let Some(i) = interest.iter_mut().find(|i| i.fd == fd) {
-                    i.token = token;
-                    i.readable = readable;
-                    i.writable = writable;
-                }
-            }
-        }
+    fn add(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, readable, writable)
     }
 
-    fn remove(&mut self, fd: RawFd) {
-        match self {
-            Poller::Epoll { epfd } => {
-                let mut ev = sys::EpollEvent { events: 0, data: 0 };
-                unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
-            }
-            Poller::Poll { interest } => interest.retain(|i| i.fd != fd),
-        }
+    fn modify(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, readable, writable)
     }
 
-    fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) {
+    fn remove(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, false, false)
+    }
+
+    fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) {
+        const CAP: usize = 64;
         out.clear();
-        match self {
-            Poller::Epoll { epfd } => {
-                const CAP: usize = 64;
-                let mut evs = [sys::EpollEvent { events: 0, data: 0 }; CAP];
-                let n = unsafe { sys::epoll_wait(*epfd, evs.as_mut_ptr(), CAP as i32, timeout_ms) };
-                for ev in evs.iter().take(n.max(0) as usize) {
-                    let bits = ev.events;
-                    let token = ev.data;
-                    out.push(Event {
-                        token,
-                        readable: bits & sys::EPOLLIN != 0,
-                        writable: bits & sys::EPOLLOUT != 0,
-                        hup: bits & (sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                    });
-                }
-            }
-            Poller::Poll { interest } => {
-                let mut fds: Vec<sys::PollFd> = interest
-                    .iter()
-                    .map(|i| sys::PollFd {
-                        fd: i.fd,
-                        events: (if i.readable { sys::POLLIN } else { 0 })
-                            | (if i.writable { sys::POLLOUT } else { 0 }),
-                        revents: 0,
-                    })
-                    .collect();
-                let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                if n <= 0 {
-                    return;
-                }
-                for (i, pf) in interest.iter().zip(&fds) {
-                    let r = pf.revents;
-                    if r == 0 {
-                        continue;
-                    }
-                    out.push(Event {
-                        token: i.token,
-                        readable: r & sys::POLLIN != 0,
-                        writable: r & sys::POLLOUT != 0,
-                        hup: r & (sys::POLLHUP | sys::POLLERR | sys::POLLNVAL) != 0,
-                    });
-                }
-            }
+        let mut evs = [sys::EpollEvent { events: 0, data: 0 }; CAP];
+        // SAFETY: `evs` holds `CAP` writable events and the kernel writes
+        // at most `maxevents = CAP`. A -1 return is EINTR (a signal such
+        // as SIGUSR1 arrived) and makes an empty round: the other errors
+        // need a bad `epfd` or buffer, which this type rules out.
+        let n = unsafe { sys::epoll_wait(self.epfd, evs.as_mut_ptr(), CAP as i32, timeout_ms) };
+        for ev in evs.iter().take(n.max(0) as usize) {
+            let bits = ev.events;
+            out.push(Event {
+                token: ev.data,
+                readable: bits & sys::EPOLLIN != 0,
+                writable: bits & sys::EPOLLOUT != 0,
+                hup: bits & (sys::EPOLLHUP | sys::EPOLLERR) != 0,
+            });
         }
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Poller::Epoll { epfd } = self {
-            unsafe { sys::close(*epfd) };
-        }
+        // SAFETY: `epfd` is owned by this poller and closed only here.
+        unsafe { sys::close(self.epfd) };
     }
+}
+
+/// The last OS error, prefixed with the call that produced it.
+fn os_error(call: &str) -> io::Error {
+    let e = io::Error::last_os_error();
+    io::Error::new(e.kind(), format!("{call}: {e}"))
 }
 
 /// Mail addressed to a reactor thread.
@@ -391,6 +333,12 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
+    /// Creates the reactor's epoll set and registers its wake pipe (and,
+    /// for reactor 0, the listener).
+    ///
+    /// # Errors
+    ///
+    /// An `epoll_create1` or `epoll_ctl` failure, naming the call.
     pub(crate) fn new(
         idx: usize,
         state: Arc<State>,
@@ -400,14 +348,14 @@ impl Reactor {
         listener: Option<TcpListener>,
         read_timeout: Duration,
         write_timeout: Duration,
-    ) -> Self {
-        let mut poller = Poller::new();
-        poller.add(shared.wake_read, TOKEN_WAKE, true, false);
+    ) -> io::Result<Self> {
+        let poller = Poller::new()?;
+        poller.add(shared.wake_read, TOKEN_WAKE, true, false)?;
         if let Some(l) = &listener {
-            let _ = l.set_nonblocking(true);
-            poller.add(l.as_raw_fd(), TOKEN_LISTENER, true, false);
+            l.set_nonblocking(true)?;
+            poller.add(l.as_raw_fd(), TOKEN_LISTENER, true, false)?;
         }
-        Self {
+        Ok(Self {
             idx,
             state,
             shared,
@@ -421,7 +369,7 @@ impl Reactor {
             write_timeout,
             draining: false,
             drain_deadline: None,
-        }
+        })
     }
 
     pub(crate) fn run(mut self) {
@@ -559,7 +507,12 @@ impl Reactor {
         let _ = stream.set_nonblocking(true);
         let token = ((self.idx as u64) << 48) | self.next_token;
         self.next_token += 1;
-        self.poller.add(stream.as_raw_fd(), token, true, false);
+        if let Err(e) = self.poller.add(stream.as_raw_fd(), token, true, false) {
+            // Never table a socket nobody watches: dropping `stream`
+            // closes it now instead of at its read timeout.
+            flight::event("reactor.watch_failed", format!("reactor={} {e}", self.idx));
+            return;
+        }
         self.conns.insert(
             token,
             Conn {
@@ -659,7 +612,6 @@ impl Reactor {
                     Err(ReadError::HeadTooLarge) => {
                         Act::Reject(Response::error(431, "request head too large"))
                     }
-                    Err(_) => Act::Teardown,
                 }
             }
         };
@@ -730,7 +682,7 @@ impl Reactor {
             c.state = ConnState::Busy;
             c.stream.as_raw_fd()
         };
-        self.poller.modify(fd, token, false, false);
+        self.watch(token, fd, false, false);
     }
 
     fn respond(&mut self, token: u64, bytes: Vec<u8>, close: bool) {
@@ -794,7 +746,7 @@ impl Reactor {
                 };
                 c.state = ConnState::Flushing;
                 let fd = c.stream.as_raw_fd();
-                self.poller.modify(fd, token, false, true);
+                self.watch(token, fd, false, true);
             }
             Out::Done { close: true } => self.teardown(token),
             Out::Done { close: false } => {
@@ -815,9 +767,10 @@ impl Reactor {
                     c.last_activity = Instant::now();
                     c.stream.as_raw_fd()
                 };
-                self.poller.modify(fd, token, true, false);
-                // The carry may already hold the next pipelined request.
-                self.advance(token);
+                if self.watch(token, fd, true, false) {
+                    // The carry may already hold the next pipelined request.
+                    self.advance(token);
+                }
             }
         }
     }
@@ -866,7 +819,7 @@ impl Reactor {
         self.draining = true;
         self.drain_deadline = Some(Instant::now() + self.read_timeout);
         if let Some(l) = self.listener.take() {
-            self.poller.remove(l.as_raw_fd());
+            self.unwatch(l.as_raw_fd());
         }
         // Idle connections close now; busy ones finish their in-flight
         // request (with `Connection: close` forced) under the deadline.
@@ -881,9 +834,33 @@ impl Reactor {
         }
     }
 
+    /// Switches a connection's poller interest; a failed `epoll_ctl`
+    /// tears the connection down (recording why) and returns `false`.
+    fn watch(&mut self, token: u64, fd: RawFd, readable: bool, writable: bool) -> bool {
+        match self.poller.modify(fd, token, readable, writable) {
+            Ok(()) => true,
+            Err(e) => {
+                flight::event("reactor.watch_failed", format!("reactor={} {e}", self.idx));
+                self.teardown(token);
+                false
+            }
+        }
+    }
+
+    /// Drops `fd` from the poller. Closing it would drop it too, so a
+    /// failure is only recorded.
+    fn unwatch(&mut self, fd: RawFd) {
+        if let Err(e) = self.poller.remove(fd) {
+            flight::event(
+                "reactor.unwatch_failed",
+                format!("reactor={} {e}", self.idx),
+            );
+        }
+    }
+
     fn teardown(&mut self, token: u64) {
         if let Some(c) = self.conns.remove(&token) {
-            self.poller.remove(c.stream.as_raw_fd());
+            self.unwatch(c.stream.as_raw_fd());
             // Dropping `c` closes the socket and drops the session
             // Sender, releasing the worker at its next `recv`.
         }
@@ -960,5 +937,19 @@ fn session_loop(
         if close {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registering_an_invalid_fd_is_an_error() {
+        let poller = Poller::new().unwrap();
+        let err = poller.add(-1, 7, true, false).unwrap_err();
+        assert!(err.to_string().contains("epoll_ctl(ADD)"), "{err}");
+        assert!(poller.modify(-1, 7, true, false).is_err());
+        assert!(poller.remove(-1).is_err());
     }
 }

@@ -1,13 +1,14 @@
-//! Minimal HTTP/1.1 wire layer: request reader and response writer.
+//! Minimal HTTP/1.1 wire layer: incremental request parser and response
+//! writer.
 //!
 //! Implements exactly the subset the prediction server needs — no chunked
 //! transfer encoding, no multipart, no TLS. Requests are framed by
 //! `Content-Length`; both the head and the body are size-capped so a
-//! misbehaving client cannot grow server memory, and the distinction
-//! between "malformed" (400), "too large" (413) and "I/O died" is kept so
+//! misbehaving client cannot grow server memory, and "malformed" (400),
+//! "body too large" (413) and "head too large" (431) are kept apart so
 //! the server can answer each correctly.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Hard cap on the request head (request line + headers) in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -51,44 +52,24 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed the connection before sending a request — the
-    /// normal end of a keep-alive session, not an error to report.
-    Closed,
-    /// The socket read timed out waiting for (more of) a request.
-    Timeout,
     /// The request was syntactically invalid (maps to `400`).
     BadRequest(String),
     /// The declared body length exceeded the server's cap (maps to `413`).
     BodyTooLarge(usize),
     /// The head grew past [`MAX_HEAD_BYTES`] (maps to `431`).
     HeadTooLarge,
-    /// Transport failure mid-request.
-    Io(io::Error),
 }
 
 impl std::fmt::Display for ReadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReadError::Closed => write!(f, "connection closed"),
-            ReadError::Timeout => write!(f, "read timed out"),
             ReadError::BadRequest(m) => write!(f, "bad request: {m}"),
             ReadError::BodyTooLarge(n) => write!(f, "request body of {n} bytes exceeds the cap"),
             ReadError::HeadTooLarge => write!(f, "request head exceeds {MAX_HEAD_BYTES} bytes"),
-            ReadError::Io(e) => write!(f, "i/o error: {e}"),
         }
-    }
-}
-
-fn classify_io(e: io::Error) -> ReadError {
-    match e.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ReadError::Timeout,
-        io::ErrorKind::UnexpectedEof
-        | io::ErrorKind::ConnectionReset
-        | io::ErrorKind::ConnectionAborted => ReadError::Closed,
-        _ => ReadError::Io(e),
     }
 }
 
@@ -111,18 +92,15 @@ pub enum Parsed {
 /// Attempts to parse one request from the front of `buf` without
 /// consuming it.
 ///
-/// This is the single parser behind both front ends: the blocking
-/// [`read_request`] loops `read` + `try_parse`, and the nonblocking
-/// event loop calls it on each connection's input buffer as bytes
-/// arrive — so the two cannot diverge in what they accept or reject.
+/// The event loop calls it on each connection's input buffer as bytes
+/// arrive; `Partial` means "read more and try again".
 ///
 /// # Errors
 ///
-/// The same classifications as [`read_request`]: a syntactically invalid
-/// head is [`ReadError::BadRequest`], a declared body beyond `max_body`
-/// is [`ReadError::BodyTooLarge`] (detected from the header alone,
-/// before the body arrives), and a head growing past [`MAX_HEAD_BYTES`]
-/// is [`ReadError::HeadTooLarge`].
+/// A syntactically invalid head is [`ReadError::BadRequest`], a
+/// declared body beyond `max_body` is [`ReadError::BodyTooLarge`]
+/// (detected from the header alone, before the body arrives), and a head
+/// growing past [`MAX_HEAD_BYTES`] is [`ReadError::HeadTooLarge`].
 pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Parsed, ReadError> {
     // Locate the blank line ending the head.
     let head_end = match find_subslice(buf, b"\r\n\r\n") {
@@ -226,48 +204,6 @@ pub(crate) fn head_complete(buf: &[u8]) -> bool {
     find_subslice(buf, b"\r\n\r\n").is_some()
 }
 
-/// Reads and parses one request from `stream`.
-///
-/// `carry` holds bytes read past the previous request on the same
-/// connection (keep-alive pipelining); leftover bytes after this request's
-/// body are pushed back into it. Implemented as a blocking `read` loop
-/// over [`try_parse`], so the blocking and event-loop front ends share
-/// one set of parsing semantics.
-///
-/// # Errors
-///
-/// See [`ReadError`]. On any error the connection should be closed (after
-/// writing the matching status for the `BadRequest` / `BodyTooLarge` /
-/// `HeadTooLarge` cases).
-pub fn read_request(
-    stream: &mut impl Read,
-    carry: &mut Vec<u8>,
-    max_body: usize,
-) -> Result<Request, ReadError> {
-    let mut buf = std::mem::take(carry);
-    let mut chunk = [0u8; 4096];
-    loop {
-        match try_parse(&buf, max_body)? {
-            Parsed::Complete { req, consumed } => {
-                // Push back bytes belonging to the next pipelined request.
-                *carry = buf.split_off(consumed);
-                return Ok(req);
-            }
-            Parsed::Partial => {
-                let n = stream.read(&mut chunk).map_err(classify_io)?;
-                if n == 0 {
-                    if buf.is_empty() {
-                        return Err(ReadError::Closed);
-                    }
-                    let what = if head_complete(&buf) { "body" } else { "head" };
-                    return Err(ReadError::BadRequest(format!("truncated request {what}")));
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-        }
-    }
-}
-
 fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w == needle)
 }
@@ -369,9 +305,12 @@ pub fn write_response(stream: &mut impl Write, resp: &Response) -> io::Result<()
 mod tests {
     use super::*;
 
+    /// Parses one complete request from the front of `text`.
     fn parse(text: &str) -> Result<Request, ReadError> {
-        let mut carry = Vec::new();
-        read_request(&mut text.as_bytes(), &mut carry, DEFAULT_MAX_BODY_BYTES)
+        match try_parse(text.as_bytes(), DEFAULT_MAX_BODY_BYTES)? {
+            Parsed::Complete { req, .. } => Ok(req),
+            Parsed::Partial => panic!("{text:?} should be complete"),
+        }
     }
 
     #[test]
@@ -412,9 +351,8 @@ mod tests {
 
     #[test]
     fn oversized_body_is_rejected_before_reading_it() {
-        let mut carry = Vec::new();
         let text = "POST / HTTP/1.1\r\ncontent-length: 999999999\r\n\r\n";
-        match read_request(&mut text.as_bytes(), &mut carry, 1024) {
+        match try_parse(text.as_bytes(), 1024) {
             Err(ReadError::BodyTooLarge(n)) => assert_eq!(n, 999_999_999),
             other => panic!("expected BodyTooLarge, got {other:?}"),
         }
@@ -430,23 +368,33 @@ mod tests {
     }
 
     #[test]
-    fn empty_stream_is_closed_not_error() {
-        match parse("") {
-            Err(ReadError::Closed) => {}
-            other => panic!("expected Closed, got {other:?}"),
+    fn empty_and_unterminated_buffers_are_partial() {
+        for text in [
+            "",
+            "GET / HTTP/1.1\r\n",
+            "POST / HTTP/1.1\r\ncontent-length: 4\r\n\r\nhi",
+        ] {
+            match try_parse(text.as_bytes(), DEFAULT_MAX_BODY_BYTES) {
+                Ok(Parsed::Partial) => {}
+                other => panic!("{text:?} should be Partial, got {other:?}"),
+            }
         }
     }
 
     #[test]
-    fn pipelined_requests_carry_over() {
-        let text = "POST /a HTTP/1.1\r\ncontent-length: 2\r\n\r\nhiGET /b HTTP/1.1\r\n\r\n";
-        let mut carry = Vec::new();
-        let mut reader = text.as_bytes();
-        let first = read_request(&mut reader, &mut carry, 1024).unwrap();
-        assert_eq!(first.path, "/a");
-        assert_eq!(first.body, b"hi");
-        let second = read_request(&mut reader, &mut carry, 1024).unwrap();
-        assert_eq!(second.path, "/b");
+    fn pipelined_requests_parse_from_the_remainder() {
+        let text = b"POST /a HTTP/1.1\r\ncontent-length: 2\r\n\r\nhiGET /b HTTP/1.1\r\n\r\n";
+        let Ok(Parsed::Complete { req, consumed }) = try_parse(text, 1024) else {
+            panic!("first request should be complete");
+        };
+        assert_eq!(req.path, "/a");
+        assert_eq!(req.body, b"hi");
+        assert_eq!(consumed, text.len() - "GET /b HTTP/1.1\r\n\r\n".len());
+        let Ok(Parsed::Complete { req, consumed }) = try_parse(&text[consumed..], 1024) else {
+            panic!("second request should be complete");
+        };
+        assert_eq!(req.path, "/b");
+        assert_eq!(consumed, "GET /b HTTP/1.1\r\n\r\n".len());
     }
 
     #[test]

@@ -13,15 +13,15 @@
 //!   reload, online fitting ([`dse_core::fit_combiner`]);
 //! * [`http`] — a hand-rolled HTTP/1.1 subset on `std::net` (no TLS, no
 //!   chunking): Content-Length framing, keep-alive, strict size caps,
-//!   with an incremental [`http::try_parse`] shared by both front ends;
-//! * [`server`] — nonblocking reactor front end (raw `epoll`/`poll`, see
+//!   parsed incrementally by [`http::try_parse`];
+//! * [`server`] — nonblocking reactor front end (raw `epoll`, see
 //!   `eventloop`) + fixed worker pool, routing, graceful
 //!   drain-on-shutdown;
 //! * [`cache`] — a sharded LRU over `(program, metric, config)` keys;
 //! * [`telemetry`] — request counters and latency percentiles for
 //!   `GET /metrics`;
 //! * [`client`] — the blocking keep-alive client used by tests, CI and
-//!   `bench_load`.
+//!   the `benchmark/` serve workload.
 //!
 //! The server path is *bit-identical* to the library path: predictions
 //! run [`dse_core::arch_centric::OfflineModel::predict_with`] on the

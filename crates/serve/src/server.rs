@@ -131,7 +131,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures and reactor setup failures.
+    /// Propagates bind failures and reactor setup failures (an
+    /// `epoll_create1` or `epoll_ctl` error names the call).
     pub fn start(registry: Arc<ModelRegistry>, cfg: &ServerConfig) -> io::Result<Self> {
         // `kill -USR1` dumps the flight recorder from a live server.
         crate::eventloop::install_flight_dump_signal();
@@ -164,9 +165,11 @@ impl Server {
         let _ = state.reactors.set(shareds.clone());
         let next_rr = Arc::new(AtomicUsize::new(0));
         let mut listener = Some(listener);
-        let mut handles = Vec::with_capacity(n_reactors);
+        // Every epoll set is created before any reactor thread starts, so
+        // a failure returns with no thread left running.
+        let mut reactors = Vec::with_capacity(n_reactors);
         for idx in 0..n_reactors {
-            let reactor = Reactor::new(
+            reactors.push(Reactor::new(
                 idx,
                 state.clone(),
                 shareds[idx].clone(),
@@ -175,7 +178,10 @@ impl Server {
                 if idx == 0 { listener.take() } else { None },
                 cfg.read_timeout,
                 cfg.write_timeout,
-            );
+            )?);
+        }
+        let mut handles = Vec::with_capacity(n_reactors);
+        for (idx, reactor) in reactors.into_iter().enumerate() {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("dse-serve-reactor-{idx}"))
