@@ -11,6 +11,10 @@
 //! The pairs are reproducible: configs come from `sample_legal` under a
 //! fixed seed, profiles are looked up by name, and the (profile, config)
 //! grid is thinned to the checkerboard `(pi + ci) % 2 == 0`.
+//!
+//! A second, wider net pins one digest over every built-in program × six
+//! sampled configs on short traces, captured before the wakeup-driven
+//! issue stage replaced the compacting issue-queue scan.
 
 use dse_rng::Xoshiro256;
 use dse_sim::{simulate_detailed, simulate_profiled, SimOptions, SimResult};
@@ -140,4 +144,53 @@ fn profiled_runs_are_bit_identical_and_attribution_sums() {
         );
         assert!(p.hw_rob > 0 && p.hw_fetch_q > 0);
     }
+}
+
+/// Folds one 64-bit word into an FNV-1a digest, a byte at a time.
+fn fnv1a(mut h: u64, word: u64) -> u64 {
+    for b in word.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Wide bit-identity net: one digest over the bits of every `SimResult`
+/// field, for every built-in program × six `sample_legal` configs on
+/// short traces. The eight golden pairs above pin exact values on long
+/// traces; this pins breadth — every program's instruction mix meets
+/// several issue widths, queue sizes and port counts — so a scheduling
+/// change that shifts any program's timing by one cycle fails here.
+#[test]
+fn sim_results_over_all_programs_match_pinned_digest() {
+    const DIGEST_TRACE_LEN: usize = 4_000;
+    const DIGEST_WARMUP: usize = 1_000;
+    const PINNED: u64 = 0x2aee_4ad9_ef3a_610f;
+
+    let mut rng = Xoshiro256::seed_from(0xD16E57);
+    let configs = sample_legal(&mut rng, 6);
+    let opts = SimOptions::with_warmup(DIGEST_WARMUP);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut runs = 0;
+    for profile in suites::all_benchmarks() {
+        let trace = TraceGenerator::new(&profile).generate(DIGEST_TRACE_LEN);
+        for cfg in &configs {
+            let (r, _) = simulate_detailed(cfg, &trace, opts);
+            for word in [
+                r.instructions,
+                r.cycles,
+                r.energy_nj.to_bits(),
+                r.ipc.to_bits(),
+                r.l1i_miss_rate.to_bits(),
+                r.l1d_miss_rate.to_bits(),
+                r.l2_miss_rate.to_bits(),
+                r.bpred_miss_rate.to_bits(),
+            ] {
+                h = fnv1a(h, word);
+            }
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 45 * 6, "the built-in suite changed size");
+    assert_eq!(h, PINNED, "digest over {runs} runs drifted: got {h:#018x}");
 }
