@@ -10,7 +10,7 @@
 //! [`dse_sim::StageProf`] and the merged per-stage attribution is
 //! written as the `results/stageprof.json` schema (`--out <path>`,
 //! stdout otherwise). This is the regenerable evidence behind the
-//! "issue stage dominates" claim in ROADMAP Open item 1.
+//! stage shares EXPERIMENTS.md quotes.
 
 use dse_sim::{simulate, simulate_stage_profiled, SimOptions, StageProf};
 use dse_space::Config;

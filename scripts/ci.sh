@@ -27,6 +27,12 @@ echo "== ARCHDSE_SANITIZE=1 explore suites =="
 ARCHDSE_SANITIZE=1 cargo test -q --offline \
   --test explore_frontier --test explore_determinism
 
+# The root `cargo test` runs only the root package, so the simulator
+# crate's unit tests (select path, sanitizer, caches, predictors) get
+# their one pass here, sanitized.
+echo "== ARCHDSE_SANITIZE=1 sim unit tests =="
+ARCHDSE_SANITIZE=1 cargo test -q --offline -p dse-sim
+
 # The root `cargo test` runs only the root package, so the serve crate's
 # unit tests and HTTP/event-loop suites get their one pass here,
 # sanitized.
