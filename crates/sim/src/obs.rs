@@ -57,9 +57,9 @@ pub struct CycleObs {
 pub struct StageTimes {
     /// Ticks spent in the commit stage.
     pub commit: u64,
-    /// Ticks spent in the issue stage (wakeup scan, operand checks,
-    /// structural hazards, execute-latency bookkeeping), minus the
-    /// writeback portion.
+    /// Ticks spent in the issue stage (wakeup-wheel drain, ready-set
+    /// select, structural hazards, execute latency, dependant wakeup),
+    /// minus the writeback portion.
     pub issue: u64,
     /// Ticks spent reserving register-file write ports (the writeback
     /// sub-stage that runs inside issue).
