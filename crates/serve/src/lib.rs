@@ -49,6 +49,7 @@
 
 pub mod cache;
 pub mod client;
+mod decode;
 mod eventloop;
 pub mod http;
 pub mod jobs;

@@ -17,11 +17,12 @@
 //! `Connection: close`, and drain. [`Server::wait`] joins everything.
 
 use crate::cache::{CacheKey, PredictionCache};
+use crate::decode::{self, Target};
 use crate::eventloop::{Reactor, ReactorShared};
 use crate::http::{Request, Response};
 use crate::jobs::{protocol, JobManager, RegistryPredictor, SubmitRejected};
 use crate::registry::{ModelRegistry, RegistryError};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Phase, PhaseClock, Telemetry};
 use dse_explore::{Command, Constraints, ExploreBudget, Explorer, Objective, SimOracle};
 use dse_ingest::{IngestError, WorkloadStore};
 use dse_sim::Metric;
@@ -490,10 +491,12 @@ fn parse_target(body: &Json) -> Result<(String, Metric), Response> {
     Ok((program, metric))
 }
 
+fn body_text(req: &Request) -> Result<&str, Response> {
+    std::str::from_utf8(&req.body).map_err(|_| Response::error(400, "body is not valid UTF-8"))
+}
+
 fn parse_body(req: &Request) -> Result<Json, Response> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| Response::error(400, "body is not valid UTF-8"))?;
-    Json::parse(text).map_err(|e| Response::error(400, &format!("body: {e}")))
+    Json::parse(body_text(req)?).map_err(|e| Response::error(400, &format!("body: {e}")))
 }
 
 fn cache_key(program: &str, metric: Metric, config: &Config) -> CacheKey {
@@ -510,20 +513,21 @@ fn cache_key(program: &str, metric: Metric, config: &Config) -> CacheKey {
 }
 
 fn predict(state: &State, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let (program, metric) = match parse_target(&body) {
+    let mut clock = PhaseClock::start();
+    let decoded = body_text(req).and_then(|text| decode::single(text).map_err(|r| r.response()));
+    let Target {
+        program,
+        metric,
+        configs: config,
+    } = match decoded {
         Ok(t) => t,
         Err(resp) => return resp,
     };
-    let config = match body.field("config").and_then(Config::from_json) {
-        Ok(c) => c,
-        Err(e) => return Response::error(422, &format!("config: {e}")),
-    };
+    clock.charge(Phase::Decode);
     let key = cache_key(&program, metric, &config);
-    let (value, cached) = match state.cache.get(&key) {
+    let hit = state.cache.get(&key);
+    clock.charge(Phase::Cache);
+    let (value, cached) = match hit {
         Some(v) => {
             dse_obs::flight::event("cache.hit", format!("{program} {metric}"));
             (v, true)
@@ -533,7 +537,9 @@ fn predict(state: &State, req: &Request) -> Response {
             match state.registry.predict(&program, metric, &config) {
                 Ok(v) => {
                     dse_obs::flight::event("registry.predict", format!("{program} {metric}"));
+                    clock.charge(Phase::Forward);
                     state.cache.insert(key, v);
+                    clock.charge(Phase::Cache);
                     (v, false)
                 }
                 Err(e) => {
@@ -549,29 +555,32 @@ fn predict(state: &State, req: &Request) -> Response {
         ("value", value.to_json()),
         ("cached", cached.to_json()),
     ]);
-    Response::json(200, dse_util::json::to_string(&out))
+    let resp = Response::json(200, dse_util::json::to_string(&out));
+    clock.charge(Phase::Encode);
+    state.telemetry.record_phases("/v1/predict", &clock);
+    resp
 }
 
 fn predict_batch(state: &State, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let (program, metric) = match parse_target(&body) {
+    let mut clock = PhaseClock::start();
+    let decoded = body_text(req).and_then(|text| decode::batch(text).map_err(|r| r.response()));
+    let Target {
+        program,
+        metric,
+        configs,
+    } = match decoded {
         Ok(t) => t,
         Err(resp) => return resp,
-    };
-    let configs = match body.field("configs").and_then(Vec::<Config>::from_json) {
-        Ok(c) => c,
-        Err(e) => return Response::error(422, &format!("configs: {e}")),
     };
     if configs.is_empty() {
         return Response::error(422, "configs must not be empty");
     }
+    clock.charge(Phase::Decode);
     let (artifact, reg) = match state.registry.predictor(&program, metric) {
         Ok(p) => p,
         Err(e) => return registry_error(&e),
     };
+    clock.charge(Phase::Forward);
     // Serve cache hits first, then push all misses through one batched
     // matrix-matrix forward (bit-identical per row to the scalar path).
     let keys: Vec<CacheKey> = configs
@@ -582,6 +591,7 @@ fn predict_batch(state: &State, req: &Request) -> Response {
     let missing: Vec<usize> = (0..configs.len())
         .filter(|&i| values[i].is_none())
         .collect();
+    clock.charge(Phase::Cache);
     if !missing.is_empty() {
         let mut flat = Vec::new();
         for &i in &missing {
@@ -591,10 +601,12 @@ fn predict_batch(state: &State, req: &Request) -> Response {
         artifact
             .offline
             .predict_with_batch_into(&reg, &flat, missing.len(), &mut computed);
+        clock.charge(Phase::Forward);
         for (&i, &v) in missing.iter().zip(computed.iter()) {
             state.cache.insert(keys[i].clone(), v);
             values[i] = Some(v);
         }
+        clock.charge(Phase::Cache);
     }
     let out = Json::obj([
         ("program", program.to_json()),
@@ -605,7 +617,10 @@ fn predict_batch(state: &State, req: &Request) -> Response {
         ),
         ("computed", missing.len().to_json()),
     ]);
-    Response::json(200, dse_util::json::to_string(&out))
+    let resp = Response::json(200, dse_util::json::to_string(&out));
+    clock.charge(Phase::Encode);
+    state.telemetry.record_phases("/v1/predict_batch", &clock);
+    resp
 }
 
 fn fit(state: &State, req: &Request) -> Response {

@@ -1,7 +1,8 @@
 //! Request telemetry for the `/metrics` endpoint.
 //!
 //! Counts requests per route and per status class, and tracks request
-//! latency through the workspace's shared quantile estimator
+//! latency, and the phases of the two prediction handlers (decode, cache,
+//! forward, encode), through the workspace's shared quantile estimator
 //! ([`dse_obs::registry::QuantileRing`]): recording is a push into the
 //! calling thread's own shard — connection handler threads never queue
 //! on one lock — and the merge + sort happens only when `/metrics` is
@@ -14,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dse_obs::registry::QuantileRing;
 
@@ -51,6 +52,52 @@ const KNOWN_ROUTES: &[&str] = &[
     "panic",
 ];
 
+/// Routes whose handlers time their phases.
+const PHASE_ROUTES: [&str; 2] = ["/v1/predict", "/v1/predict_batch"];
+
+/// Phase labels, in [`Phase`] order.
+const PHASE_NAMES: [&str; 4] = ["decode", "cache", "forward", "encode"];
+
+/// Samples each phase ring retains.
+const PHASE_RING_CAPACITY: usize = 1024;
+
+/// One phase of a prediction handler.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Phase {
+    /// Reading the request body into a program, metric and configs.
+    Decode = 0,
+    /// Prediction-cache lookups and inserts.
+    Cache = 1,
+    /// Resolving the predictor and the ANN forward pass.
+    Forward = 2,
+    /// Serialising the response body.
+    Encode = 3,
+}
+
+/// Charges a handler's wall time to consecutive phases: each
+/// [`PhaseClock::charge`] bills the time since the previous one, so the
+/// phases never sum to more than the handler's own latency.
+pub(crate) struct PhaseClock {
+    last: Instant,
+    spent: [Duration; PHASE_NAMES.len()],
+}
+
+impl PhaseClock {
+    pub(crate) fn start() -> Self {
+        Self {
+            last: Instant::now(),
+            spent: [Duration::ZERO; PHASE_NAMES.len()],
+        }
+    }
+
+    /// Bills the time since the previous mark to `phase`.
+    pub(crate) fn charge(&mut self, phase: Phase) {
+        let now = Instant::now();
+        self.spent[phase as usize] += now - self.last;
+        self.last = now;
+    }
+}
+
 /// Server-wide request telemetry.
 pub struct Telemetry {
     started: Instant,
@@ -63,6 +110,9 @@ pub struct Telemetry {
     routes: Mutex<BTreeMap<String, u64>>,
     /// Recent request latencies in microseconds, thread-sharded.
     latencies: QuantileRing,
+    /// Recent phase times in microseconds, one ring per
+    /// ([`PHASE_ROUTES`], [`PHASE_NAMES`]) pair, route-major.
+    phases: Vec<QuantileRing>,
 }
 
 /// A latency percentile snapshot in microseconds.
@@ -118,6 +168,22 @@ impl Telemetry {
                     .collect(),
             ),
             latencies: QuantileRing::new(RING_CAPACITY),
+            phases: (0..PHASE_ROUTES.len() * PHASE_NAMES.len())
+                .map(|_| QuantileRing::new(PHASE_RING_CAPACITY))
+                .collect(),
+        }
+    }
+
+    /// Records the phases of one successful request to `route`, one of
+    /// the prediction routes.
+    pub(crate) fn record_phases(&self, route: &str, clock: &PhaseClock) {
+        let Some(r) = PHASE_ROUTES.iter().position(|&p| p == route) else {
+            debug_assert!(false, "{route} does not time its phases");
+            return;
+        };
+        let rings = &self.phases[r * PHASE_NAMES.len()..][..PHASE_NAMES.len()];
+        for (ring, spent) in rings.iter().zip(clock.spent) {
+            ring.record(spent.as_micros() as u64);
         }
     }
 
@@ -214,6 +280,17 @@ impl Telemetry {
             "dse_serve_latency_microseconds{{quantile=\"0.99\"}} {}\n",
             lat.p99_us
         ));
+        let phases = PHASE_ROUTES
+            .iter()
+            .flat_map(|route| PHASE_NAMES.iter().map(move |phase| (route, phase)));
+        for ((route, phase), ring) in phases.zip(&self.phases) {
+            let q = ring.snapshot();
+            for (label, v) in [("0.5", q.p50), ("0.95", q.p95), ("0.99", q.p99)] {
+                out.push_str(&format!(
+                    "dse_serve_phase_us{{route=\"{route}\",phase=\"{phase}\",quantile=\"{label}\"}} {v}\n"
+                ));
+            }
+        }
         out.push_str(&format!("dse_serve_cache_hits_total {cache_hits}\n"));
         out.push_str(&format!("dse_serve_cache_misses_total {cache_misses}\n"));
         out.push_str(&format!("dse_serve_cache_entries {cache_len}\n"));
@@ -284,6 +361,38 @@ mod tests {
         assert_eq!(lat.p50_us, 50);
         assert_eq!(lat.p95_us, 95);
         assert_eq!(lat.p99_us, 99);
+    }
+
+    #[test]
+    fn phases_are_exported_per_route_and_never_exceed_the_handler() {
+        let t = Telemetry::new();
+        let started = Instant::now();
+        let mut clock = PhaseClock::start();
+        for phase in [Phase::Decode, Phase::Cache, Phase::Forward, Phase::Cache] {
+            std::thread::sleep(Duration::from_millis(2));
+            clock.charge(phase);
+        }
+        clock.charge(Phase::Encode);
+        let handler = started.elapsed();
+        assert!(clock.spent.iter().sum::<Duration>() <= handler);
+        assert!(clock.spent[Phase::Cache as usize] >= Duration::from_millis(4));
+        t.record_phases("/v1/predict_batch", &clock);
+        let text = t.exposition(0, 0, 0);
+        for route in PHASE_ROUTES {
+            for phase in PHASE_NAMES {
+                for q in ["0.5", "0.95", "0.99"] {
+                    let series = format!(
+                        "dse_serve_phase_us{{route=\"{route}\",phase=\"{phase}\",quantile=\"{q}\"}} "
+                    );
+                    assert!(text.contains(&series), "{series} missing:\n{text}");
+                }
+            }
+        }
+        let decode =
+            "dse_serve_phase_us{route=\"/v1/predict_batch\",phase=\"decode\",quantile=\"0.5\"} ";
+        let line = text.lines().find(|l| l.starts_with(decode)).unwrap();
+        let us: u64 = line[decode.len()..].parse().unwrap();
+        assert!(us >= 2000, "{line}");
     }
 
     #[test]

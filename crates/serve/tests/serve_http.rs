@@ -701,3 +701,285 @@ fn request_ids_thread_from_header_to_flight_recorder() {
         .contains(&format!("\"request\":{req_id}")));
     server.stop();
 }
+
+// ---------------------------------------------------------------------------
+// Prediction request decoding: rejections and tolerated input
+// ---------------------------------------------------------------------------
+
+/// A config object's JSON text with `edits` applied in place: `(key,
+/// Some(raw))` replaces the field's value text, `(key, None)` drops it.
+fn config_text(config: &dse_space::Config, edits: &[(&str, Option<&str>)]) -> String {
+    let dse_util::json::Json::Obj(fields) = config.to_json() else {
+        unreachable!("a config serialises as an object")
+    };
+    let parts: Vec<String> = fields
+        .iter()
+        .filter_map(|(k, v)| match edits.iter().find(|(e, _)| e == k) {
+            Some((_, None)) => None,
+            Some((_, Some(raw))) => Some(format!("\"{k}\":{raw}")),
+            None => Some(format!("\"{k}\":{v}")),
+        })
+        .collect();
+    format!("{{{}}}", parts.join(","))
+}
+
+fn single_body(program: &str, config: &str) -> String {
+    format!("{{\"program\":\"{program}\",\"metric\":\"Cycles\",\"config\":{config}}}")
+}
+
+fn batch_body(program: &str, configs: &[String]) -> String {
+    format!(
+        "{{\"program\":\"{program}\",\"metric\":\"Cycles\",\"configs\":[{}]}}",
+        configs.join(",")
+    )
+}
+
+/// Posts `body` and returns the status and the response text.
+fn post_text(client: &mut Client, path: &str, body: &str) -> (u16, String) {
+    let resp = client.post(path, body).unwrap();
+    (resp.status, resp.text().unwrap().to_string())
+}
+
+fn value_of(text: &str, key: &str) -> dse_util::json::Json {
+    dse_util::json::Json::parse(text)
+        .unwrap()
+        .field(key)
+        .unwrap()
+        .clone()
+}
+
+#[test]
+fn predict_rejects_bad_bodies_with_located_errors() {
+    let s = setup();
+    let (server, addr) = start_server(&ServerConfig::default());
+    let mut client = Client::new(addr);
+    let target = fit_target(&mut client);
+    let cfg = &s.ds5.configs[0];
+    let good = single_body(&target, &config_text(cfg, &[]));
+
+    // Malformed and truncated JSON: 400 with the byte offset.
+    for bad in [
+        good[..good.len() / 2].to_string(),
+        good.replace("\"config\":", "\"config\" "),
+        format!("{good} trailing"),
+    ] {
+        let (status, text) = post_text(&mut client, "/v1/predict", &bad);
+        assert_eq!(status, 400, "{bad}: {text}");
+        assert!(text.contains("byte "), "{bad}: {text}");
+    }
+
+    // An off-list value, a missing field and a wrong type: 422.
+    let illegal = single_body(&target, &config_text(cfg, &[("width", Some("5"))]));
+    let (status, text) = post_text(&mut client, "/v1/predict", &illegal);
+    assert_eq!(status, 422, "{text}");
+    assert!(text.to_lowercase().contains("width"), "{text}");
+    for edit in [
+        ("rob", None),
+        ("rob", Some("\"96\"")),
+        ("l2_kb", Some("2048.5")),
+    ] {
+        let body = single_body(&target, &config_text(cfg, &[edit]));
+        let (status, text) = post_text(&mut client, "/v1/predict", &body);
+        assert_eq!(status, 422, "{edit:?}: {text}");
+    }
+    let (status, text) = post_text(&mut client, "/v1/predict", &single_body(&target, "[]"));
+    assert_eq!(status, 422, "{text}");
+
+    // A program that was never fitted keeps the registry's 404, and a
+    // body with no program is a 400.
+    let unknown = single_body("doom", &config_text(cfg, &[]));
+    let (status, text) = post_text(&mut client, "/v1/predict", &unknown);
+    assert_eq!(status, 404, "{text}");
+    let (status, text) = post_text(&mut client, "/v1/predict", "{\"metric\":\"Cycles\"}");
+    assert_eq!(status, 400, "{text}");
+    server.stop();
+}
+
+#[test]
+fn predict_ignores_unknown_fields_and_keeps_the_first_duplicate() {
+    let s = setup();
+    let (server, addr) = start_server(&ServerConfig::default());
+    let mut client = Client::new(addr);
+    let target = fit_target(&mut client);
+    let cfg = &s.ds5.configs[1];
+    let plain = config_text(cfg, &[]);
+    let (status, text) = post_text(&mut client, "/v1/predict", &single_body(&target, &plain));
+    assert_eq!(status, 200, "{text}");
+    let want = value_of(&text, "value");
+
+    // Unknown fields at both levels, and a later duplicate of a known
+    // key (which must lose to the first), all answer the plain value.
+    let extra_cfg = format!("{},\"turbo\":true}}", &plain[..plain.len() - 1]);
+    let dup_last = format!("{},\"width\":5}}", &plain[..plain.len() - 1]);
+    let extra_top = format!(
+        "{{\"note\":{{\"nested\":[1,2,{{\"x\":null}}]}},\"program\":\"{target}\",\
+         \"metric\":\"Cycles\",\"config\":{plain},\"program\":\"doom\"}}"
+    );
+    for body in [
+        single_body(&target, &extra_cfg),
+        single_body(&target, &dup_last),
+        extra_top,
+    ] {
+        let (status, text) = post_text(&mut client, "/v1/predict", &body);
+        assert_eq!(status, 200, "{body}: {text}");
+        assert_eq!(value_of(&text, "value"), want, "{body}");
+    }
+
+    // The first occurrence decides even when it is the bad one.
+    let dup_first = format!("{{\"width\":5,{}", &plain[1..]);
+    let (status, text) = post_text(
+        &mut client,
+        "/v1/predict",
+        &single_body(&target, &dup_first),
+    );
+    assert_eq!(status, 422, "{text}");
+    server.stop();
+}
+
+#[test]
+fn predict_batch_rejects_bad_bodies_with_located_errors() {
+    let s = setup();
+    let (server, addr) = start_server(&ServerConfig::default());
+    let mut client = Client::new(addr);
+    let target = fit_target(&mut client);
+    let plain: Vec<String> = s.ds5.configs[..8]
+        .iter()
+        .map(|c| config_text(c, &[]))
+        .collect();
+    let good = batch_body(&target, &plain);
+    let (status, text) = post_text(&mut client, "/v1/predict_batch", &good);
+    assert_eq!(status, 200, "{text}");
+
+    // Malformed and truncated JSON: 400 with the byte offset.
+    for bad in [
+        good[..good.len() - 3].to_string(),
+        good.replacen("},{", "}{", 1),
+        good.replacen("\"rob\":", "\"rob\":-x", 1),
+    ] {
+        let (status, text) = post_text(&mut client, "/v1/predict_batch", &bad);
+        assert_eq!(status, 400, "{bad}: {text}");
+        assert!(text.contains("byte "), "{bad}: {text}");
+    }
+
+    // An off-list value names its field and its index.
+    let mut edited = plain.clone();
+    edited[3] = config_text(&s.ds5.configs[3], &[("width", Some("5"))]);
+    let (status, text) = post_text(
+        &mut client,
+        "/v1/predict_batch",
+        &batch_body(&target, &edited),
+    );
+    assert_eq!(status, 422, "{text}");
+    assert!(text.contains("[3]"), "{text}");
+    assert!(text.to_lowercase().contains("width"), "{text}");
+
+    // A missing field, a wrong type, a non-array and an empty batch: 422.
+    for edit in [("iq", None), ("iq", Some("null")), ("iq", Some("[32]"))] {
+        let mut edited = plain.clone();
+        edited[5] = config_text(&s.ds5.configs[5], &[edit]);
+        let body = batch_body(&target, &edited);
+        let (status, text) = post_text(&mut client, "/v1/predict_batch", &body);
+        assert_eq!(status, 422, "{edit:?}: {text}");
+        assert!(text.contains("[5]"), "{edit:?}: {text}");
+    }
+    let not_array = format!("{{\"program\":\"{target}\",\"metric\":\"Cycles\",\"configs\":{{}}}}");
+    let (status, text) = post_text(&mut client, "/v1/predict_batch", &not_array);
+    assert_eq!(status, 422, "{text}");
+    let (status, text) = post_text(&mut client, "/v1/predict_batch", &batch_body(&target, &[]));
+    assert_eq!(status, 422, "{text}");
+    let no_configs = format!("{{\"program\":\"{target}\",\"metric\":\"Cycles\"}}");
+    let (status, text) = post_text(&mut client, "/v1/predict_batch", &no_configs);
+    assert_eq!(status, 422, "{text}");
+
+    // A program that was never fitted keeps the registry's 404.
+    let (status, text) = post_text(
+        &mut client,
+        "/v1/predict_batch",
+        &batch_body("doom", &plain),
+    );
+    assert_eq!(status, 404, "{text}");
+    server.stop();
+}
+
+#[test]
+fn predict_batch_ignores_unknown_fields_and_keeps_the_first_duplicate() {
+    let s = setup();
+    let (server, addr) = start_server(&ServerConfig::default());
+    let mut client = Client::new(addr);
+    let target = fit_target(&mut client);
+    let plain: Vec<String> = s.ds5.configs[8..16]
+        .iter()
+        .map(|c| config_text(c, &[]))
+        .collect();
+    let (status, text) = post_text(
+        &mut client,
+        "/v1/predict_batch",
+        &batch_body(&target, &plain),
+    );
+    assert_eq!(status, 200, "{text}");
+    let want = value_of(&text, "values");
+
+    let mut tolerated = plain.clone();
+    tolerated[2] = format!("{},\"turbo\":[true]}}", &plain[2][..plain[2].len() - 1]);
+    tolerated[6] = format!("{},\"rob\":7}}", &plain[6][..plain[6].len() - 1]);
+    let body = batch_body(&target, &tolerated);
+    let body = format!(
+        "{{\"configs\":[],\"extra\":\"x\",{},\"metric\":\"Energy\"}}",
+        &body[1..body.len() - 1]
+    );
+    // The leading empty `configs` wins over the full one: 422 …
+    let (status, text) = post_text(&mut client, "/v1/predict_batch", &body);
+    assert_eq!(status, 422, "{text}");
+    // … and without it the tolerated body answers the plain values.
+    let body = body.replacen("\"configs\":[],", "", 1);
+    let (status, text) = post_text(&mut client, "/v1/predict_batch", &body);
+    assert_eq!(status, 200, "{body}: {text}");
+    assert_eq!(value_of(&text, "values"), want, "{body}");
+    server.stop();
+}
+
+#[test]
+fn metrics_export_prediction_handler_phases() {
+    let s = setup();
+    let (server, addr) = start_server(&ServerConfig::default());
+    let mut client = Client::new(addr);
+    let target = fit_target(&mut client);
+    // An even number of batches: with the fit's one extra latency
+    // sample, every phase median then sits at or below the latency
+    // median (each request's phases fit inside its own latency).
+    let plain: Vec<String> = s.ds5.configs.iter().map(|c| config_text(c, &[])).collect();
+    for _ in 0..6 {
+        let (status, text) = post_text(
+            &mut client,
+            "/v1/predict_batch",
+            &batch_body(&target, &plain),
+        );
+        assert_eq!(status, 200, "{text}");
+    }
+    let metrics = client.get("/metrics").unwrap();
+    let text = metrics.text().unwrap();
+    let value = |series: &str| -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(series) && l[series.len()..].starts_with(' '))
+            .unwrap_or_else(|| panic!("{series} missing from /metrics:\n{text}"));
+        line[series.len() + 1..].parse().unwrap()
+    };
+    let latency_p50 = value("dse_serve_latency_microseconds{quantile=\"0.5\"}");
+    for route in ["/v1/predict", "/v1/predict_batch"] {
+        for phase in ["decode", "cache", "forward", "encode"] {
+            for q in ["0.5", "0.95", "0.99"] {
+                let us = value(&format!(
+                    "dse_serve_phase_us{{route=\"{route}\",phase=\"{phase}\",quantile=\"{q}\"}}"
+                ));
+                if route == "/v1/predict_batch" && q == "0.5" {
+                    assert!(
+                        us <= latency_p50,
+                        "{phase} p50 {us} > latency p50 {latency_p50}"
+                    );
+                }
+            }
+        }
+    }
+    server.stop();
+}

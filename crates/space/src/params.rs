@@ -87,6 +87,13 @@ impl ParamDef {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
+
+    /// The position of `value` in the value list, or `None` if it is not
+    /// a legal value — the one legal-value check. The lists ascend, so
+    /// this is a binary search.
+    pub fn index_of(&self, value: u64) -> Option<usize> {
+        self.values.binary_search(&value).ok()
+    }
 }
 
 /// Table 1: the 13 varied parameters with their ranges, steps and counts.

@@ -33,6 +33,12 @@ ARCHDSE_SANITIZE=1 cargo test -q --offline \
 echo "== ARCHDSE_SANITIZE=1 sim unit tests =="
 ARCHDSE_SANITIZE=1 cargo test -q --offline -p dse-sim
 
+# The JSON layer (reader, tree, writer) and the design space (config
+# field table and legal-value check) have only unit tests; the root
+# `cargo test` never reaches them.
+echo "== util and space unit tests =="
+cargo test -q --offline -p dse-util -p dse-space
+
 # The root `cargo test` runs only the root package, so the serve crate's
 # unit tests and HTTP/event-loop suites get their one pass here,
 # sanitized.
