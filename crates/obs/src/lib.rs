@@ -1,4 +1,4 @@
-//! Workspace-wide observability: metrics, spans, leveled logging.
+//! Workspace-wide observability: metrics, trace recording, leveled logging.
 //!
 //! Every crate in the workspace answers "where did the time go" and
 //! "how often did that happen" through this one zero-dependency layer:
@@ -7,42 +7,36 @@
 //!   gauges, fixed-bucket histograms and ring-based quantile estimators.
 //!   Counters and quantile rings are lock-sharded by thread so
 //!   `par_map` workers never contend on a cache line; the whole registry
-//!   renders as Prometheus text ([`registry::Registry::prometheus`]) or
-//!   JSONL ([`registry::Registry::jsonl`]).
-//! * [`span`] — **structured tracing**: lightweight span trees with
-//!   monotonic timing and parent/child nesting that follows work across
-//!   the scoped-thread pool in `dse-util` (the pool forwards the caller's
-//!   span context to its workers). Spans drain as a JSON span log and
-//!   aggregate into a self-time flame table.
+//!   renders as Prometheus text ([`registry::Registry::prometheus`]).
+//! * [`flight`] — the **trace recorder**, always on and bounded: a
+//!   lock-sharded ring of recent records, both point events (request
+//!   lifecycle, cache/registry lookups, errors) and timed [`span!`]s
+//!   whose parent/child nesting follows work across the scoped-thread
+//!   pool in `dse-util`. Records carry the request id active on their
+//!   thread, dump as JSONL on demand, and aggregate into a self-time
+//!   flame table; `train --obs` captures a whole run's records.
 //! * [`log`] — **leveled diagnostics** (`error`/`warn`/`info`/`debug`)
-//!   via [`log!`], filtered by the `ARCHDSE_LOG` environment variable
-//!   (default `warn`), so test output stays quiet and greppable.
-//! * [`flight`] — an always-on **flight recorder**: a lock-sharded
-//!   fixed-size ring of recent structured events (request lifecycle,
-//!   cache/registry lookups, explore rounds, errors), dumped on demand
-//!   to debug incidents that cannot be reproduced.
+//!   via [`log!`], filtered by `ARCHDSE_LOG` (default `warn`; any other
+//!   value is an error naming the variable) — the one environment
+//!   variable this crate reads.
 //!
-//! # Enablement
-//!
-//! The registry and logging are always live (both are cheap: sharded
-//! atomics and one level compare). Span *recording* is off by default and
-//! turned on either by `ARCHDSE_OBS=1` or programmatically with
-//! [`set_enabled`] (how the CLI's `--obs json|pretty` flag works); a
-//! disabled [`span!`] costs one relaxed atomic load and allocates
-//! nothing.
+//! All three are always on: sharded atomics, one level compare, and one
+//! sequence fetch, clock read and shard lock per trace record.
 //!
 //! # Examples
 //!
 //! ```
 //! use dse_obs as obs;
 //!
-//! obs::set_enabled(true);
+//! obs::flight::start_capture();
 //! {
 //!     let _outer = obs::span!("demo.outer");
 //!     let _inner = obs::span!("demo.inner", items = 3);
 //! }
-//! let spans = obs::span::take_spans();
+//! let spans = obs::flight::finish_capture();
 //! assert_eq!(spans.len(), 2);
+//! assert_eq!(spans[1].parent, spans[0].seq);
+//! assert_eq!(&*spans[1].detail, "items=3");
 //!
 //! obs::registry::counter("demo_events_total").add(2);
 //! let text = obs::registry::global().prometheus();
@@ -54,82 +48,6 @@
 pub mod flight;
 pub mod log;
 pub mod registry;
-pub mod span;
 
-pub use flight::FlightEvent;
+pub use flight::{Record, Span};
 pub use registry::{counter, gauge, histogram, quantiles, Registry};
-pub use span::{FlameRow, Span, SpanRecord};
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Environment variable turning span recording on (`1`/`true`).
-pub const OBS_ENV: &str = "ARCHDSE_OBS";
-
-/// Tri-state enablement: 0 = unresolved (consult the environment),
-/// 1 = forced off, 2 = forced on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// Whether span recording is on (`ARCHDSE_OBS=1` or [`set_enabled`]).
-///
-/// The environment is consulted once, on the first call that finds no
-/// programmatic override.
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = matches!(
-                std::env::var(OBS_ENV).as_deref(),
-                Ok("1") | Ok("true") | Ok("TRUE")
-            );
-            ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Forces span recording on or off, overriding `ARCHDSE_OBS`.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Escapes `s` as the inside of a JSON string literal (no quotes added).
-///
-/// The observability layer has no JSON dependency by design — span logs
-/// and the JSONL exposition only ever *write* JSON, and this is the one
-/// primitive writing needs.
-pub(crate) fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn set_enabled_overrides() {
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        let mut out = String::new();
-        json_escape_into(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
-    }
-}

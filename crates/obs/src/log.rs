@@ -5,7 +5,8 @@
 //! emitted only when at or above the configured threshold. The default
 //! threshold is [`Level::Warn`], so tests and pipelines stay quiet;
 //! `ARCHDSE_LOG=info` (or `debug`) turns progress reporting on, and
-//! `ARCHDSE_LOG=off` silences everything.
+//! `ARCHDSE_LOG=off` silences everything. Any other value is an error
+//! naming the variable, raised the first time a level is checked.
 //!
 //! Messages below the threshold cost one relaxed atomic load; the format
 //! arguments are never evaluated.
@@ -48,20 +49,37 @@ static THRESHOLD: AtomicU8 = AtomicU8::new(0);
 
 const OFF: u8 = 5;
 
+/// Parses an `ARCHDSE_LOG` value into a threshold: `off`/`none`,
+/// `error`, `warn`, `info` or `debug`, in any case, surrounding
+/// whitespace allowed. The error names the variable and the bad value.
+fn parse_threshold(value: &str) -> Result<u8, String> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "off" | "none" => Ok(OFF),
+        "error" => Ok(Level::Error as u8),
+        "warn" => Ok(Level::Warn as u8),
+        "info" => Ok(Level::Info as u8),
+        "debug" => Ok(Level::Debug as u8),
+        _ => Err(format!(
+            "{LOG_ENV}={value:?} is not one of off, none, error, warn, info, debug"
+        )),
+    }
+}
+
 fn resolve() -> u8 {
-    let t = match std::env::var(LOG_ENV).as_deref() {
-        Ok("off") | Ok("OFF") | Ok("none") => OFF,
-        Ok("error") | Ok("ERROR") => Level::Error as u8,
-        Ok("warn") | Ok("WARN") => Level::Warn as u8,
-        Ok("info") | Ok("INFO") => Level::Info as u8,
-        Ok("debug") | Ok("DEBUG") => Level::Debug as u8,
-        _ => Level::Warn as u8,
+    let t = match std::env::var_os(LOG_ENV) {
+        Some(v) => parse_threshold(&v.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")),
+        None => Level::Warn as u8,
     };
     THRESHOLD.store(t, Ordering::Relaxed);
     t
 }
 
 /// Whether messages at `level` currently pass the threshold.
+///
+/// # Panics
+///
+/// The first call panics, naming the variable and its value, when
+/// `ARCHDSE_LOG` is set to anything but a level or `off`/`none`.
 #[inline]
 pub fn level_enabled(level: Level) -> bool {
     let t = match THRESHOLD.load(Ordering::Relaxed) {
@@ -125,6 +143,27 @@ mod tests {
 
         // Restore the default for other tests in this process.
         set_level(Some(Level::Warn));
+    }
+
+    #[test]
+    fn parse_threshold_accepts_level_names_only() {
+        for (text, want) in [
+            ("off", OFF),
+            ("NONE", OFF),
+            ("error", Level::Error as u8),
+            ("WARN", Level::Warn as u8),
+            (" Info\n", Level::Info as u8),
+            ("debug", Level::Debug as u8),
+        ] {
+            assert_eq!(parse_threshold(text), Ok(want), "{text:?}");
+        }
+        for bad in ["verbose", "", "trace", "1", "warn info"] {
+            let err = parse_threshold(bad).unwrap_err();
+            assert!(
+                err.contains(LOG_ENV) && err.contains(&format!("{bad:?}")),
+                "error for {bad:?} must name the variable and value: {err}"
+            );
+        }
     }
 
     #[test]

@@ -109,13 +109,6 @@ impl Gshare {
         }
     }
 
-    /// Resets statistics (table and history are kept) — used at the end of
-    /// simulator warm-up.
-    pub fn reset_stats(&mut self) {
-        self.predictions = 0;
-        self.mispredictions = 0;
-    }
-
     /// Sanitizer hook: statistics and table self-consistency — counters
     /// must be 2-bit saturating values, the history must fit its mask and
     /// mispredictions can never exceed predictions.
@@ -350,16 +343,5 @@ mod tests {
             b.check_invariants().unwrap_err().invariant,
             "btb-tag-placement"
         );
-    }
-
-    #[test]
-    fn reset_stats_clears_counts_only() {
-        let mut g = Gshare::new(64);
-        for _ in 0..10 {
-            g.update(0x40, true);
-        }
-        g.reset_stats();
-        assert_eq!(g.predictions(), 0);
-        assert!(g.predict(0x40)); // learned state survives
     }
 }

@@ -78,11 +78,6 @@ impl Cache {
         }
     }
 
-    /// Number of sets.
-    pub fn sets(&self) -> u64 {
-        self.set_mask + 1
-    }
-
     /// Accesses `addr`, updating LRU state and filling on a miss.
     pub fn access(&mut self, addr: u64) -> CacheOutcome {
         self.accesses += 1;
@@ -115,14 +110,6 @@ impl Cache {
         CacheOutcome::Miss
     }
 
-    /// Checks whether `addr` is resident without touching any state.
-    pub fn probe(&self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.assoc;
-        self.tags[base..base + self.assoc].contains(&(line + 1))
-    }
-
     /// Total accesses so far.
     pub fn accesses(&self) -> u64 {
         self.accesses
@@ -131,11 +118,6 @@ impl Cache {
     /// Total misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Total hits so far (`accesses - misses`).
-    pub fn hits(&self) -> u64 {
-        self.accesses - self.misses
     }
 
     /// Sanitizer hook: statistics and tag-array self-consistency.
@@ -183,13 +165,6 @@ impl Cache {
             self.misses as f64 / self.accesses as f64
         }
     }
-
-    /// Resets the statistics counters (contents are kept) — used at the
-    /// end of simulator warm-up.
-    pub fn reset_stats(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +183,7 @@ mod tests {
     #[test]
     fn geometry_is_computed_correctly() {
         let c = Cache::new(8 * 1024, 32, 4);
-        assert_eq!(c.sets(), 64);
+        assert_eq!(c.set_mask + 1, 64);
     }
 
     #[test]
@@ -274,22 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_does_not_mutate() {
-        let mut c = Cache::new(1024, 32, 2);
-        c.access(0);
-        let before = c.accesses();
-        assert!(c.probe(0));
-        assert!(!c.probe(4096));
-        assert_eq!(c.accesses(), before);
-    }
-
-    #[test]
     fn hits_complement_misses_and_invariants_hold() {
         let mut c = Cache::new(1024, 32, 2);
         for i in 0..100u64 {
             c.access((i % 8) * 32);
         }
-        assert_eq!(c.hits() + c.misses(), c.accesses());
         c.check_invariants("test").unwrap();
     }
 
@@ -303,14 +267,5 @@ mod tests {
         let e = c.check_invariants("l1d").unwrap_err();
         assert_eq!(e.invariant, "cache-tag-placement");
         assert!(e.message.contains("l1d"));
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = Cache::new(1024, 32, 2);
-        c.access(0);
-        c.reset_stats();
-        assert_eq!(c.accesses(), 0);
-        assert_eq!(c.access(0), CacheOutcome::Hit);
     }
 }

@@ -89,13 +89,13 @@ where
     slots.resize_with(n, || None);
     let out = Mutex::new(slots);
     let f = &f;
-    // Spans opened inside `f` on a worker thread nest under the span that
-    // was current on the calling thread.
-    let parent_span = dse_obs::span::current();
+    // Records made inside `f` on a worker thread carry the calling
+    // thread's request id and nest under its current span.
+    let ctx = dse_obs::flight::Context::current();
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
-                let _span_ctx = dse_obs::span::ThreadContext::enter(parent_span);
+                let _ctx = ctx.enter();
                 loop {
                     let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                     if start >= n {

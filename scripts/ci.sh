@@ -33,11 +33,12 @@ ARCHDSE_SANITIZE=1 cargo test -q --offline \
 echo "== ARCHDSE_SANITIZE=1 sim unit tests =="
 ARCHDSE_SANITIZE=1 cargo test -q --offline -p dse-sim
 
-# The JSON layer (reader, tree, writer) and the design space (config
-# field table and legal-value check) have only unit tests; the root
-# `cargo test` never reaches them.
-echo "== util and space unit tests =="
-cargo test -q --offline -p dse-util -p dse-space
+# The JSON layer (reader, tree, writer), the design space (config
+# field table and legal-value check) and the observability layer
+# (registry, trace recorder, flame table, log levels) have only unit
+# tests; the root `cargo test` never reaches them.
+echo "== util, space and obs unit tests =="
+cargo test -q --offline -p dse-util -p dse-space -p dse-obs
 
 # The root `cargo test` runs only the root package, so the serve crate's
 # unit tests and HTTP/event-loop suites get their one pass here,
@@ -52,15 +53,13 @@ ARCHDSE_SANITIZE=1 cargo test -q --offline -p dse-serve
 echo "== benchmark smoke tests =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-# Observability: the test pass must also hold with spans/metrics forced
-# on (golden_sim pins bit-identity either way), and `train --obs json`
-# must emit span JSONL that `obs report` can parse back. Skip with
-# DSE_OBS_SKIP=1.
+# Observability: `train --obs json` must emit trace-recorder JSONL that
+# `obs report` can parse back, and so must a served request's flight
+# dump. (The recorder is always on, so the default test pass already
+# runs with it.) Skip with DSE_OBS_SKIP=1.
 if [ "${DSE_OBS_SKIP:-0}" = "1" ]; then
   echo "== obs gate skipped (DSE_OBS_SKIP=1) =="
 else
-  echo "== ARCHDSE_OBS=1 cargo test -q --offline =="
-  ARCHDSE_OBS=1 cargo test -q --offline
   echo "== obs smoke: train --obs json | obs report =="
   OBS_DIR="$(mktemp -d)"
   trap 'rm -rf "$OBS_DIR"' EXIT
@@ -68,7 +67,9 @@ else
     --out "$OBS_DIR/models" --benchmarks 2 --configs 8 --t 6 \
     --obs json 2>"$OBS_DIR/train.log" >"$OBS_DIR/spans.jsonl"
   [ -s "$OBS_DIR/spans.jsonl" ] || { echo "train --obs json emitted no spans"; exit 1; }
-  cargo run --release --offline -q -- obs report "$OBS_DIR/spans.jsonl"
+  cargo run --release --offline -q -- obs report "$OBS_DIR/spans.jsonl" \
+    2>"$OBS_DIR/report.err"
+  [ ! -s "$OBS_DIR/report.err" ] || { echo "obs report rejected span log lines"; cat "$OBS_DIR/report.err"; exit 1; }
 
   # Stage profiler smoke: the per-stage host-time attribution must emit
   # its machine-readable line. (Output goes to a file first — the CLI
@@ -109,6 +110,10 @@ else
     grep -q "\"kind\":\"$kind\"" "$OBS_DIR/flight.jsonl" \
       || { echo "flight dump for request $REQ_ID missing $kind"; cat "$OBS_DIR/flight.jsonl"; exit 1; }
   done
+  # The flight dump is the same record format `obs report` reads.
+  cargo run --release --offline -q -- obs report "$OBS_DIR/flight.jsonl" \
+    2>"$OBS_DIR/report.err"
+  [ ! -s "$OBS_DIR/report.err" ] || { echo "obs report rejected flight dump lines"; cat "$OBS_DIR/report.err"; exit 1; }
   cargo run --release --offline -q -- client "$ADDR" shutdown
   wait "$OBS_SERVE_PID"
   OBS_SERVE_PID=""

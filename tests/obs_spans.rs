@@ -1,11 +1,13 @@
 //! Workspace-level observability tests.
 //!
-//! Pins the two properties the tracing layer promises its consumers:
+//! Pins the properties the trace recorder promises its consumers:
 //!
 //! 1. The span *tree* (names and parent/child edges) produced by a
 //!    `par_map` workload is deterministic across thread counts — only
 //!    the timings may differ between `ARCHDSE_THREADS=1` and `=4`.
-//! 2. The sharded quantile ring reports exact nearest-rank percentiles,
+//! 2. `par_map` forwards the caller's request id with its span, so every
+//!    record a request fans out to pool threads is attributed to it.
+//! 3. The sharded quantile ring reports exact nearest-rank percentiles,
 //!    matching an independently sorted copy of the samples.
 //!
 //! (Bit-identity of the simulator with observation on vs. off is pinned
@@ -14,39 +16,38 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use dse_obs::flight::{self, Record};
 use dse_obs::registry::{QuantileRing, SHARDS};
-use dse_obs::span::{self, SpanRecord};
 use dse_util::par::{par_map, THREADS_ENV};
 
-/// The span log, the obs enable flag, and `ARCHDSE_THREADS` are all
-/// process-global; every test in this binary serialises on this lock.
+/// The capture sink and `ARCHDSE_THREADS` are process-global; every test
+/// in this binary serialises on this lock.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `body` with obs enabled and `ARCHDSE_THREADS` set, returning the
-/// spans it produced; restores the previous state afterwards.
-fn spans_with_threads(threads: &str, body: impl FnOnce()) -> Vec<SpanRecord> {
+/// Runs `body` under request id `request` with `ARCHDSE_THREADS` set,
+/// returning the records it produced; restores the previous state
+/// afterwards.
+fn spans_with_threads(threads: &str, request: u64, body: impl FnOnce()) -> Vec<Record> {
     std::env::set_var(THREADS_ENV, threads);
-    dse_obs::set_enabled(true);
-    let _ = span::take_spans(); // drop leftovers from other tests
-    body();
-    let spans = span::take_spans();
-    dse_obs::set_enabled(false);
+    flight::start_capture();
+    {
+        let _scope = flight::scope(request);
+        body();
+    }
+    let records = flight::finish_capture();
     std::env::remove_var(THREADS_ENV);
-    spans
+    records
 }
 
 /// A thread-count-independent shape signature: sorted multiset of
 /// `(name, parent-name, fields)` triples.
-fn tree_shape(spans: &[SpanRecord]) -> Vec<(String, String, String)> {
-    let names: BTreeMap<u64, &str> = spans.iter().map(|s| (s.id, s.name)).collect();
+fn tree_shape(spans: &[Record]) -> Vec<(String, String, String)> {
+    let names: BTreeMap<u64, &str> = spans.iter().map(|s| (s.seq, &*s.kind)).collect();
     let mut shape: Vec<(String, String, String)> = spans
         .iter()
         .map(|s| {
-            let parent = s
-                .parent
-                .and_then(|p| names.get(&p).copied())
-                .unwrap_or("<root>");
-            (s.name.to_string(), parent.to_string(), s.fields.clone())
+            let parent = names.get(&s.parent).copied().unwrap_or("<root>");
+            (s.kind.to_string(), parent.to_string(), s.detail.to_string())
         })
         .collect();
     shape.sort();
@@ -68,8 +69,8 @@ fn spanned_workload() {
 #[test]
 fn span_tree_is_deterministic_across_thread_counts() {
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let serial = spans_with_threads("1", spanned_workload);
-    let parallel = spans_with_threads("4", spanned_workload);
+    let serial = spans_with_threads("1", 0, spanned_workload);
+    let parallel = spans_with_threads("4", 0, spanned_workload);
 
     assert_eq!(serial.len(), 25, "one root + 24 work spans");
     assert_eq!(tree_shape(&serial), tree_shape(&parallel));
@@ -77,27 +78,46 @@ fn span_tree_is_deterministic_across_thread_counts() {
     // Every worker-thread span must have been re-parented onto the root
     // span that was current when `par_map` spawned the pool.
     for spans in [&serial, &parallel] {
-        let root = spans.iter().find(|s| s.name == "root").unwrap();
-        assert_eq!(root.parent, None);
-        for s in spans.iter().filter(|s| s.name == "work") {
-            assert_eq!(s.parent, Some(root.id), "work span not under root");
+        let root = spans.iter().find(|s| s.kind == "root").unwrap();
+        assert_eq!(root.parent, 0);
+        for s in spans.iter().filter(|s| s.kind == "work") {
+            assert_eq!(s.parent, root.seq, "work span not under root");
         }
     }
 }
 
 #[test]
+fn par_map_spans_carry_the_scoped_request() {
+    let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    const ID: u64 = 4_242;
+    let serial = spans_with_threads("1", ID, spanned_workload);
+    let parallel = spans_with_threads("4", ID, spanned_workload);
+    for records in [&serial, &parallel] {
+        assert_eq!(records.len(), 25);
+        for r in records.iter() {
+            assert_eq!(r.request, ID, "{} lost the request id", r.kind);
+        }
+    }
+    assert_eq!(tree_shape(&serial), tree_shape(&parallel));
+    // The records also reach the ring, where the request's dump finds them.
+    let retained = flight::dump_for(ID);
+    assert!(retained.iter().any(|r| r.kind == "root"));
+}
+
+#[test]
 fn spans_nest_and_time_monotonically() {
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let spans = spans_with_threads("2", spanned_workload);
-    let by_id: BTreeMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+    let spans = spans_with_threads("2", 0, spanned_workload);
+    let by_seq: BTreeMap<u64, &Record> = spans.iter().map(|s| (s.seq, s)).collect();
+    let end = |r: &Record| r.ts_us + r.dur_us.unwrap();
     for s in &spans {
-        if let Some(p) = s.parent.and_then(|p| by_id.get(&p)) {
-            assert!(s.start_ns >= p.start_ns, "child starts before parent");
+        if let Some(p) = by_seq.get(&s.parent) {
+            assert!(s.ts_us >= p.ts_us, "child starts before parent");
             assert!(
-                s.start_ns + s.dur_ns <= p.start_ns + p.dur_ns,
+                end(s) <= end(p),
                 "child {} outlives parent {}",
-                s.name,
-                p.name
+                s.kind,
+                p.kind
             );
         }
     }
