@@ -20,19 +20,16 @@ fn main() {
     let rows: Vec<usize> = (0..ds.benchmarks.len())
         .filter(|&i| ds.benchmarks[i].suite == Suite::SpecCpu2000)
         .collect();
+    // Both arms share each repeat's pool: one model per benchmark.
+    let all: Vec<usize> = (0..ds.benchmarks.len()).collect();
+    let seeds: Vec<u64> = (0..repeats).map(|k| 0xAB + k as u64).collect();
+    let pools = OfflineModel::train_pools(&ds, &all, metric, t, &MlpConfig::default(), &seeds);
 
     let mut out = Vec::new();
     for source in [ResponseSource::Actual, ResponseSource::Predicted] {
         let mut errs = Vec::new();
         let mut corrs = Vec::new();
-        for k in 0..repeats {
-            let pool = OfflineModel::train_model_pool(
-                &ds,
-                metric,
-                t,
-                &MlpConfig::default(),
-                0xAB + k as u64,
-            );
+        for (k, pool) in pools.iter().enumerate() {
             for &target in &rows {
                 let train_rows: Vec<usize> =
                     rows.iter().copied().filter(|&r| r != target).collect();

@@ -13,18 +13,48 @@
 //! Performance is measured by the separate `benchmark/` package.
 
 use dse_core::dataset::{DatasetSpec, SuiteDataset};
+use std::ffi::OsStr;
 use std::path::PathBuf;
 
-/// Directory holding cached datasets.
+/// Directory holding cached datasets: `DSE_DATA_DIR`, or
+/// `target/dse-datasets` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable, if `DSE_DATA_DIR` is set but empty.
 pub fn data_dir() -> PathBuf {
-    std::env::var_os("DSE_DATA_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/dse-datasets"))
+    parse_data_dir(std::env::var_os("DSE_DATA_DIR").as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Whether quick (reduced-scale) mode was requested via `DSE_QUICK=1`.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, if `DSE_QUICK` is set to
+/// anything but `0` or `1`.
 pub fn quick_mode() -> bool {
-    std::env::var_os("DSE_QUICK").is_some_and(|v| v == "1")
+    parse_quick(std::env::var_os("DSE_QUICK").as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parses a `DSE_QUICK` value: unset or `0` is off, `1` is on; anything
+/// else is an error naming the variable and the value.
+fn parse_quick(value: Option<&OsStr>) -> Result<bool, String> {
+    match value {
+        None => Ok(false),
+        Some(v) if v == "0" => Ok(false),
+        Some(v) if v == "1" => Ok(true),
+        Some(v) => Err(format!("DSE_QUICK={v:?} must be unset, 0 or 1")),
+    }
+}
+
+/// Parses a `DSE_DATA_DIR` value: unset means the default directory; an
+/// empty value is an error naming the variable.
+fn parse_data_dir(value: Option<&OsStr>) -> Result<PathBuf, String> {
+    match value {
+        None => Ok(PathBuf::from("target/dse-datasets")),
+        Some(v) if v.is_empty() => Err("DSE_DATA_DIR is set but empty".to_string()),
+        Some(v) => Ok(PathBuf::from(v)),
+    }
 }
 
 /// The dataset spec used by the experiments: the paper's 3,000-sample
@@ -159,5 +189,38 @@ pub fn extremes_report(metric: dse_sim::Metric) {
                 share * 100.0
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quick_accepts_unset_zero_and_one_only() {
+        assert_eq!(parse_quick(None), Ok(false));
+        assert_eq!(parse_quick(Some(OsStr::new("0"))), Ok(false));
+        assert_eq!(parse_quick(Some(OsStr::new("1"))), Ok(true));
+        for bad in ["yes", "true", "", " 1", "2"] {
+            let err = parse_quick(Some(OsStr::new(bad))).unwrap_err();
+            assert!(
+                err.contains("DSE_QUICK") && err.contains(&format!("{bad:?}")),
+                "error for {bad:?} must name the variable and value: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn data_dir_defaults_when_unset_and_rejects_empty() {
+        assert_eq!(
+            parse_data_dir(None),
+            Ok(PathBuf::from("target/dse-datasets"))
+        );
+        assert_eq!(
+            parse_data_dir(Some(OsStr::new("/tmp/ds"))),
+            Ok(PathBuf::from("/tmp/ds"))
+        );
+        let err = parse_data_dir(Some(OsStr::new(""))).unwrap_err();
+        assert!(err.contains("DSE_DATA_DIR"), "{err}");
     }
 }

@@ -58,6 +58,39 @@ impl OfflineModel {
         mlp_cfg: &MlpConfig,
         seed: u64,
     ) -> Self {
+        let _span = dse_obs::span!(
+            "train.offline_model",
+            metric = metric,
+            programs = train_rows.len(),
+            t = t
+        );
+        let models = Self::train_pools(ds, train_rows, metric, t, mlp_cfg, &[seed]).remove(0);
+        Self {
+            metric,
+            train_rows: train_rows.to_vec(),
+            models,
+        }
+    }
+
+    /// Trains one ensemble's models per seed of `seeds` over the same
+    /// `train_rows` — the cross-validation harness's per-repeat pools —
+    /// as one flat (seed, program) [`par_map`] work list, so no seed
+    /// waits for another's slowest model. Pool `s` holds exactly the
+    /// models of `OfflineModel::train(.., seeds[s])`: this is the one
+    /// place a model's training sample and ANN seed are derived (from
+    /// `seed`'s child stream `k + 1` for the `k`-th training row).
+    ///
+    /// # Panics
+    ///
+    /// As [`OfflineModel::train`].
+    pub fn train_pools(
+        ds: &SuiteDataset,
+        train_rows: &[usize],
+        metric: Metric,
+        t: usize,
+        mlp_cfg: &MlpConfig,
+        seeds: &[u64],
+    ) -> Vec<Vec<ProgramSpecificPredictor>> {
         assert!(!train_rows.is_empty(), "need at least one training program");
         assert!(
             t >= 2 && t <= ds.n_configs(),
@@ -67,19 +100,20 @@ impl OfflineModel {
         for &r in train_rows {
             assert!(r < ds.benchmarks.len(), "train row {r} out of range");
         }
-        let _span = dse_obs::span!(
-            "train.offline_model",
-            metric = metric,
-            programs = train_rows.len(),
-            t = t
-        );
         let features = ds.features();
-        let root = Xoshiro256::seed_from(seed);
-        let jobs: Vec<(usize, usize)> = train_rows.iter().copied().enumerate().collect();
-        let models: Vec<ProgramSpecificPredictor> = par_map(&jobs, |&(k, row)| {
+        let jobs: Vec<(u64, usize, usize)> = seeds
+            .iter()
+            .flat_map(|&seed| {
+                train_rows
+                    .iter()
+                    .enumerate()
+                    .map(move |(k, &row)| (seed, k, row))
+            })
+            .collect();
+        let mut models = par_map(&jobs, |&(seed, k, row)| {
             let bench = &ds.benchmarks[row];
             let _span = dse_obs::span!("train_mlp", program = bench.name, metric = metric);
-            let mut rng = root.child(k as u64 + 1);
+            let mut rng = Xoshiro256::seed_from(seed).child(k as u64 + 1);
             let idx = rng.sample_indices(ds.n_configs(), t);
             let tf: Vec<Vec<f64>> = idx.iter().map(|&i| features[i].clone()).collect();
             let tv: Vec<f64> = idx.iter().map(|&i| bench.metrics[i].get(metric)).collect();
@@ -88,20 +122,17 @@ impl OfflineModel {
                 ..*mlp_cfg
             };
             ProgramSpecificPredictor::train(&bench.name, metric, &tf, &tv, &cfg)
-        });
-        Self {
-            metric,
-            train_rows: train_rows.to_vec(),
-            models,
-        }
+        })
+        .into_iter();
+        seeds
+            .iter()
+            .map(|_| models.by_ref().take(train_rows.len()).collect())
+            .collect()
     }
 
-    /// Assembles an ensemble from already-trained per-program models.
-    ///
-    /// The evaluation harness trains one model per benchmark per repeat
-    /// and reuses them across leave-one-out folds (a model for program
-    /// `j` does not depend on which program is left out), which is an
-    /// exact 26× saving over retraining per fold.
+    /// Assembles an ensemble from already-trained per-program models
+    /// (for example one of [`OfflineModel::train_pools`]' pools, or
+    /// models loaded from an artifact store).
     ///
     /// # Panics
     ///
@@ -123,19 +154,6 @@ impl OfflineModel {
             train_rows,
             models,
         }
-    }
-
-    /// Trains one program-specific model per benchmark row — the shared
-    /// pool consumed by [`OfflineModel::from_parts`].
-    pub fn train_model_pool(
-        ds: &SuiteDataset,
-        metric: Metric,
-        t: usize,
-        mlp_cfg: &MlpConfig,
-        seed: u64,
-    ) -> Vec<ProgramSpecificPredictor> {
-        let all: Vec<usize> = (0..ds.benchmarks.len()).collect();
-        Self::train(ds, &all, metric, t, mlp_cfg, seed).models
     }
 
     /// The metric this ensemble models.
@@ -218,25 +236,27 @@ impl OfflineModel {
         source: ResponseSource,
     ) -> Vec<Vec<f64>> {
         assert!(!response_idxs.is_empty(), "need at least one response");
-        let features = ds.features();
-        response_idxs
-            .iter()
-            .map(|&cfg_idx| {
-                assert!(cfg_idx < ds.n_configs(), "response index out of range");
-                match source {
-                    ResponseSource::Actual => self
-                        .train_rows
-                        .iter()
-                        .map(|&row| ds.benchmarks[row].metrics[cfg_idx].get(self.metric))
-                        .collect(),
-                    ResponseSource::Predicted => self
-                        .models
-                        .iter()
-                        .map(|m| m.predict(&features[cfg_idx]))
-                        .collect(),
-                }
-            })
-            .collect()
+        assert!(
+            response_idxs.iter().all(|&i| i < ds.n_configs()),
+            "response index out of range"
+        );
+        match source {
+            ResponseSource::Actual => {
+                actual_design_rows(ds, &self.train_rows, self.metric, response_idxs)
+            }
+            ResponseSource::Predicted => {
+                let features = ds.features();
+                response_idxs
+                    .iter()
+                    .map(|&i| {
+                        self.models
+                            .iter()
+                            .map(|m| m.predict(&features[i]))
+                            .collect()
+                    })
+                    .collect()
+            }
+        }
     }
 
     /// Runs the full architecture-centric prediction with an externally
@@ -309,6 +329,24 @@ impl OfflineModel {
             .collect();
         dse_ml::stats::rmae(&preds, response_values)
     }
+}
+
+/// The paper's design matrix ([`ResponseSource::Actual`]): the simulated
+/// `metric` of each of `rows`, in order, at each response configuration.
+pub(crate) fn actual_design_rows(
+    ds: &SuiteDataset,
+    rows: &[usize],
+    metric: Metric,
+    response_idxs: &[usize],
+) -> Vec<Vec<f64>> {
+    response_idxs
+        .iter()
+        .map(|&i| {
+            rows.iter()
+                .map(|&row| ds.benchmarks[row].metrics[i].get(metric))
+                .collect()
+        })
+        .collect()
 }
 
 /// Fits the online half of the model — the paper's equation (5) — from a

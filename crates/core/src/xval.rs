@@ -6,7 +6,7 @@
 //! relative mean absolute error and the correlation coefficient on the
 //! configurations not shown to the model.
 
-use crate::arch_centric::OfflineModel;
+use crate::arch_centric::{actual_design_rows, fit_combiner, OfflineModel};
 use crate::dataset::SuiteDataset;
 use crate::program_specific::ProgramSpecificPredictor;
 use dse_ml::stats::{correlation, mean, rmae, std_dev};
@@ -118,61 +118,152 @@ fn repeat_seed(root: u64, tag: u64, repeat: usize) -> u64 {
     rng.child(repeat as u64).next_u64()
 }
 
-/// Evaluates one fitted predictor on held-out configurations.
-fn evaluate(
-    predictor: &crate::arch_centric::ArchCentricPredictor,
-    ds: &SuiteDataset,
-    features: &[Vec<f64>],
-    target_row: usize,
+/// Per-repeat pools of program-specific ANNs, held as their predictions
+/// at every shared configuration: a leave-one-out fold's ensemble is a
+/// subset of its repeat's pool, so each ANN runs once per configuration
+/// per repeat rather than once per fold.
+struct PoolTable<'a> {
+    ds: &'a SuiteDataset,
     metric: Metric,
-    response_idxs: &[usize],
-) -> (f64, f64, f64) {
-    let in_response = {
-        let mut mask = vec![false; ds.n_configs()];
-        for &i in response_idxs {
-            mask[i] = true;
-        }
-        mask
-    };
-    let target = &ds.benchmarks[target_row];
-    let mut preds = Vec::with_capacity(ds.n_configs());
-    let mut actual = Vec::with_capacity(ds.n_configs());
-    let mut train_preds = Vec::with_capacity(response_idxs.len());
-    let mut train_actual = Vec::with_capacity(response_idxs.len());
-    for i in 0..ds.n_configs() {
-        let p = predictor.predict(&features[i]);
-        let a = target.metrics[i].get(metric);
-        if in_response[i] {
-            train_preds.push(p);
-            train_actual.push(a);
-        } else {
-            preds.push(p);
-            actual.push(a);
-        }
-    }
-    (
-        rmae(&train_preds, &train_actual),
-        rmae(&preds, &actual),
-        correlation(&preds, &actual),
-    )
+    /// Dataset row of each pool member.
+    rows: Vec<usize>,
+    /// `preds[k][c * rows.len() + p]`: member `p`'s prediction at
+    /// configuration `c` in repeat `k`.
+    preds: Vec<Vec<f64>>,
 }
 
-/// Trains per-repeat pools of program-specific models (one per benchmark)
-/// that leave-one-out folds share.
-fn model_pools(
+impl<'a> PoolTable<'a> {
+    /// Trains every repeat's pool over `rows` (seeded from `tag`) as one
+    /// work list and tabulates its predictions.
+    fn train(
+        ds: &'a SuiteDataset,
+        rows: Vec<usize>,
+        metric: Metric,
+        cfg: &EvalConfig,
+        tag: u64,
+    ) -> Self {
+        let _span = dse_obs::span!("xval.pools", programs = rows.len(), repeats = cfg.repeats);
+        let seeds: Vec<u64> = (0..cfg.repeats)
+            .map(|k| repeat_seed(cfg.seed, tag, k))
+            .collect();
+        let pools = OfflineModel::train_pools(ds, &rows, metric, cfg.t, &cfg.mlp, &seeds);
+        let (n, p) = (ds.n_configs(), rows.len());
+        let flat = ds.features().concat();
+        let preds = par_map(&pools, |pool| {
+            let (mut col, mut table) = (vec![0.0; n], vec![0.0; n * p]);
+            for (m, model) in pool.iter().enumerate() {
+                model.net().predict_batch_into(&flat, n, &mut col);
+                for (c, v) in col.iter().enumerate() {
+                    table[c * p + m] = *v;
+                }
+            }
+            table
+        });
+        Self {
+            ds,
+            metric,
+            rows,
+            preds,
+        }
+    }
+
+    /// Runs fold jobs as one [`par_map`] work list, results in job order.
+    fn folds<J: Sync, R: Send>(&self, jobs: &[J], f: impl Fn(&J) -> R + Sync) -> Vec<R> {
+        let _span = dse_obs::span!("xval.folds", folds = jobs.len());
+        par_map(jobs, f)
+    }
+
+    /// One fold of repeat `k`: fits the response weights of the ensemble
+    /// of pool `members` on `target_row`'s responses at `response_idxs`
+    /// (the arithmetic of [`OfflineModel::fit_responses`]), predicts every
+    /// configuration from the table (that of
+    /// [`crate::arch_centric::ArchCentricPredictor::predict`]), and
+    /// returns (train rmae on the responses, test rmae and correlation on
+    /// the rest).
+    fn fold(
+        &self,
+        k: usize,
+        members: &[usize],
+        target_row: usize,
+        response_idxs: &[usize],
+    ) -> (f64, f64, f64) {
+        let (ds, n, p) = (self.ds, self.ds.n_configs(), self.rows.len());
+        let target = &ds.benchmarks[target_row];
+        let values: Vec<f64> = response_idxs
+            .iter()
+            .map(|&i| target.metrics[i].get(self.metric))
+            .collect();
+        let rows: Vec<usize> = members.iter().map(|&m| self.rows[m]).collect();
+        let reg = fit_combiner(
+            &actual_design_rows(ds, &rows, self.metric, response_idxs),
+            &values,
+        );
+        let mut in_response = vec![false; n];
+        for &i in response_idxs {
+            in_response[i] = true;
+        }
+        let mut per_program = vec![0.0; members.len()];
+        let (mut train, mut test) = ((Vec::new(), Vec::new()), (Vec::new(), Vec::new()));
+        for (c, table) in self.preds[k].chunks_exact(p).enumerate() {
+            for (v, &m) in per_program.iter_mut().zip(members) {
+                *v = table[m];
+            }
+            let side = if in_response[c] {
+                &mut train
+            } else {
+                &mut test
+            };
+            side.0.push(reg.predict(&per_program));
+            side.1.push(target.metrics[c].get(self.metric));
+        }
+        (
+            rmae(&train.0, &train.1),
+            rmae(&test.0, &test.1),
+            correlation(&test.0, &test.1),
+        )
+    }
+
+    /// Leave-one-out folds over `rows` (pool members by dataset row) for
+    /// every response count of `rs`: one result per (r, program, repeat),
+    /// in that order.
+    fn loo_folds(&self, rows: &[usize], rs: &[usize], cfg: &EvalConfig) -> Vec<(f64, f64, f64)> {
+        let jobs: Vec<(usize, usize, usize)> = rs
+            .iter()
+            .flat_map(|&r| {
+                rows.iter()
+                    .flat_map(move |&row| (0..cfg.repeats).map(move |k| (r, row, k)))
+            })
+            .collect();
+        self.folds(&jobs, |&(r, target_row, k)| {
+            let members: Vec<usize> = rows.iter().copied().filter(|&x| x != target_row).collect();
+            let mut rng =
+                Xoshiro256::seed_from(repeat_seed(cfg.seed, 0x1003 + target_row as u64, k));
+            let response_idxs = rng.sample_indices(self.ds.n_configs(), r);
+            self.fold(k, &members, target_row, &response_idxs)
+        })
+    }
+}
+
+/// The leave-one-out pools: one model per benchmark of `ds`, so pool
+/// member `p` is dataset row `p`.
+fn model_pools<'a>(ds: &'a SuiteDataset, metric: Metric, cfg: &EvalConfig) -> PoolTable<'a> {
+    PoolTable::train(ds, (0..ds.benchmarks.len()).collect(), metric, cfg, 0x0FF1)
+}
+
+/// Regroups per-(program, repeat) fold results into per-program summaries.
+fn program_evals(
     ds: &SuiteDataset,
-    metric: Metric,
-    cfg: &EvalConfig,
-) -> Vec<Vec<ProgramSpecificPredictor>> {
-    (0..cfg.repeats)
-        .map(|k| {
-            OfflineModel::train_model_pool(
-                ds,
-                metric,
-                cfg.t,
-                &cfg.mlp,
-                repeat_seed(cfg.seed, 0x0FF1, k),
-            )
+    rows: &[usize],
+    results: &[(f64, f64, f64)],
+    repeats: usize,
+) -> Vec<ProgramEval> {
+    rows.iter()
+        .zip(results.chunks(repeats))
+        .map(|(&row, chunk)| ProgramEval {
+            program: ds.benchmarks[row].name.clone(),
+            train_rmae: Summary::of(&chunk.iter().map(|x| x.0).collect::<Vec<f64>>()),
+            test_rmae: Summary::of(&chunk.iter().map(|x| x.1).collect::<Vec<f64>>()),
+            corr: Summary::of(&chunk.iter().map(|x| x.2).collect::<Vec<f64>>()),
         })
         .collect()
 }
@@ -187,68 +278,8 @@ pub fn loo(ds: &SuiteDataset, suite: Suite, metric: Metric, cfg: &EvalConfig) ->
     let _span = dse_obs::span!("xval.loo", metric = metric, repeats = cfg.repeats);
     let rows = suite_rows(ds, suite);
     assert!(rows.len() >= 2, "need at least two benchmarks in the suite");
-    let pools = model_pools(ds, metric, cfg);
-    loo_with_pools(ds, &rows, metric, cfg, &pools)
-}
-
-/// One leave-one-out fold repetition: fit the offline ensemble from
-/// `pools[k]` on `rows` minus `target_row`, draw `r` responses of the
-/// target, and evaluate. Returns (train rmae, test rmae, correlation).
-#[allow(clippy::too_many_arguments)]
-fn loo_job(
-    ds: &SuiteDataset,
-    features: &[Vec<f64>],
-    rows: &[usize],
-    metric: Metric,
-    cfg: &EvalConfig,
-    pools: &[Vec<ProgramSpecificPredictor>],
-    target_row: usize,
-    k: usize,
-    r: usize,
-) -> (f64, f64, f64) {
-    let train_rows: Vec<usize> = rows.iter().copied().filter(|&x| x != target_row).collect();
-    let models: Vec<ProgramSpecificPredictor> =
-        train_rows.iter().map(|&x| pools[k][x].clone()).collect();
-    let offline = OfflineModel::from_parts(metric, train_rows, models);
-    let mut rng = Xoshiro256::seed_from(repeat_seed(cfg.seed, 0x1003 + target_row as u64, k));
-    let response_idxs = rng.sample_indices(ds.n_configs(), r);
-    let values: Vec<f64> = response_idxs
-        .iter()
-        .map(|&i| ds.benchmarks[target_row].metrics[i].get(metric))
-        .collect();
-    let predictor = offline.fit_responses(ds, &response_idxs, &values);
-    evaluate(&predictor, ds, features, target_row, metric, &response_idxs)
-}
-
-/// Leave-one-out body over explicit rows, reusing pre-trained per-repeat
-/// model pools. The program × repeat grid is flattened into one
-/// [`par_map`] work list so repeats of different programs fill the pool
-/// together; results regroup deterministically because `par_map` returns
-/// them in input order.
-fn loo_with_pools(
-    ds: &SuiteDataset,
-    rows: &[usize],
-    metric: Metric,
-    cfg: &EvalConfig,
-    pools: &[Vec<ProgramSpecificPredictor>],
-) -> Vec<ProgramEval> {
-    let features = ds.features();
-    let jobs: Vec<(usize, usize)> = rows
-        .iter()
-        .flat_map(|&row| (0..cfg.repeats).map(move |k| (row, k)))
-        .collect();
-    let results: Vec<(f64, f64, f64)> = par_map(&jobs, |&(row, k)| {
-        loo_job(ds, &features, rows, metric, cfg, pools, row, k, cfg.r)
-    });
-    rows.iter()
-        .zip(results.chunks(cfg.repeats))
-        .map(|(&row, chunk)| ProgramEval {
-            program: ds.benchmarks[row].name.clone(),
-            train_rmae: Summary::of(&chunk.iter().map(|x| x.0).collect::<Vec<f64>>()),
-            test_rmae: Summary::of(&chunk.iter().map(|x| x.1).collect::<Vec<f64>>()),
-            corr: Summary::of(&chunk.iter().map(|x| x.2).collect::<Vec<f64>>()),
-        })
-        .collect()
+    let results = model_pools(ds, metric, cfg).loo_folds(&rows, &[cfg.r], cfg);
+    program_evals(ds, &rows, &results, cfg.repeats)
 }
 
 /// Cross-suite evaluation: train on every benchmark of `train_suite`,
@@ -269,54 +300,19 @@ pub fn cross_suite(
     let test_rows = suite_rows(ds, test_suite);
     assert!(!train_rows.is_empty(), "training suite absent from dataset");
     assert!(!test_rows.is_empty(), "test suite absent from dataset");
-    let features = ds.features();
-
     // Offline ensembles depend only on the repeat, not the test program.
-    let offlines: Vec<OfflineModel> = (0..cfg.repeats)
-        .map(|k| {
-            OfflineModel::train(
-                ds,
-                &train_rows,
-                metric,
-                cfg.t,
-                &cfg.mlp,
-                repeat_seed(cfg.seed, 0xC805, k),
-            )
-        })
+    let pools = PoolTable::train(ds, train_rows.clone(), metric, cfg, 0xC805);
+    let members: Vec<usize> = (0..train_rows.len()).collect();
+    let jobs: Vec<(usize, usize)> = test_rows
+        .iter()
+        .flat_map(|&row| (0..cfg.repeats).map(move |k| (row, k)))
         .collect();
-
-    par_map(&test_rows, |&target_row| {
-        let mut train_errs = Vec::new();
-        let mut test_errs = Vec::new();
-        let mut corrs = Vec::new();
-        for (k, offline) in offlines.iter().enumerate() {
-            let mut rng =
-                Xoshiro256::seed_from(repeat_seed(cfg.seed, 0x2003 + target_row as u64, k));
-            let response_idxs = rng.sample_indices(ds.n_configs(), cfg.r);
-            let values: Vec<f64> = response_idxs
-                .iter()
-                .map(|&i| ds.benchmarks[target_row].metrics[i].get(metric))
-                .collect();
-            let predictor = offline.fit_responses(ds, &response_idxs, &values);
-            let (tr, te, c) = evaluate(
-                &predictor,
-                ds,
-                &features,
-                target_row,
-                metric,
-                &response_idxs,
-            );
-            train_errs.push(tr);
-            test_errs.push(te);
-            corrs.push(c);
-        }
-        ProgramEval {
-            program: ds.benchmarks[target_row].name.clone(),
-            train_rmae: Summary::of(&train_errs),
-            test_rmae: Summary::of(&test_errs),
-            corr: Summary::of(&corrs),
-        }
-    })
+    let results = pools.folds(&jobs, |&(target_row, k)| {
+        let mut rng = Xoshiro256::seed_from(repeat_seed(cfg.seed, 0x2003 + target_row as u64, k));
+        let response_idxs = rng.sample_indices(ds.n_configs(), cfg.r);
+        pools.fold(k, &members, target_row, &response_idxs)
+    });
+    program_evals(ds, &test_rows, &results, cfg.repeats)
 }
 
 /// One program-specific fit: train on `t` random samples of `row` and
@@ -417,28 +413,15 @@ pub fn sweep_t(
 
 /// Architecture-centric sweep points for each response count of `rs`,
 /// with the response-count × program × repeat grid flattened into one
-/// [`par_map`] list (the pre-trained pools are shared by every cell).
-/// Each point averages the per-program repeat means, matching
-/// [`loo_with_pools`]' summaries.
+/// work list over the shared pools. Each point averages the per-program
+/// repeat means, matching [`loo`]'s summaries.
 fn arch_points(
-    ds: &SuiteDataset,
+    pools: &PoolTable,
     rows: &[usize],
-    metric: Metric,
     rs: &[usize],
     cfg: &EvalConfig,
-    pools: &[Vec<ProgramSpecificPredictor>],
 ) -> Vec<SweepPoint> {
-    let features = ds.features();
-    let jobs: Vec<(usize, usize, usize)> = rs
-        .iter()
-        .flat_map(|&r| {
-            rows.iter()
-                .flat_map(move |&row| (0..cfg.repeats).map(move |k| (r, row, k)))
-        })
-        .collect();
-    let results: Vec<(f64, f64, f64)> = par_map(&jobs, |&(r, row, k)| {
-        loo_job(ds, &features, rows, metric, cfg, pools, row, k, r)
-    });
+    let results = pools.loo_folds(rows, rs, cfg);
     let per_point = rows.len() * cfg.repeats;
     rs.iter()
         .zip(results.chunks(per_point))
@@ -469,9 +452,8 @@ pub fn arch_centric_accuracy(
     r: usize,
     cfg: &EvalConfig,
 ) -> SweepPoint {
-    let pools = model_pools(ds, metric, cfg);
     let rows = suite_rows(ds, suite);
-    arch_points(ds, &rows, metric, &[r], cfg, &pools).remove(0)
+    arch_points(&model_pools(ds, metric, cfg), &rows, &[r], cfg).remove(0)
 }
 
 /// Sweeps the number of responses R for the architecture-centric model
@@ -486,9 +468,8 @@ pub fn sweep_r(
     cfg: &EvalConfig,
 ) -> Vec<SweepPoint> {
     let _span = dse_obs::span!("xval.sweep_r", metric = metric, points = rs.len());
-    let pools = model_pools(ds, metric, cfg);
     let rows = suite_rows(ds, suite);
-    arch_points(ds, &rows, metric, rs, cfg, &pools)
+    arch_points(&model_pools(ds, metric, cfg), &rows, rs, cfg)
 }
 
 /// Head-to-head comparison at equal simulation budgets (Fig 13). Both
@@ -502,10 +483,9 @@ pub fn compare(
     cfg: &EvalConfig,
 ) -> Vec<CompareRow> {
     let _span = dse_obs::span!("xval.compare", metric = metric, budgets = sims.len());
-    let pools = model_pools(ds, metric, cfg);
     let rows = suite_rows(ds, suite);
     let ps = ps_points(ds, &rows, metric, sims, cfg);
-    let ac = arch_points(ds, &rows, metric, sims, cfg, &pools);
+    let ac = arch_points(&model_pools(ds, metric, cfg), &rows, sims, cfg);
     sims.iter()
         .zip(ps.into_iter().zip(ac))
         .map(|(&s, (ps, ac))| CompareRow {
@@ -543,8 +523,6 @@ pub fn sweep_train_programs(
         );
     }
     let pools = model_pools(ds, metric, cfg);
-    let features = ds.features();
-
     let jobs: Vec<(usize, usize, usize)> = ns
         .iter()
         .flat_map(|&n| {
@@ -552,7 +530,7 @@ pub fn sweep_train_programs(
                 .flat_map(move |&row| (0..cfg.repeats).map(move |k| (n, row, k)))
         })
         .collect();
-    let results: Vec<(f64, f64)> = par_map(&jobs, |&(n, target_row, k)| {
+    let results: Vec<(f64, f64)> = pools.folds(&jobs, |&(n, target_row, k)| {
         let mut rng = Xoshiro256::seed_from(repeat_seed(
             cfg.seed,
             0x1400 + target_row as u64 + ((n as u64) << 8),
@@ -560,24 +538,9 @@ pub fn sweep_train_programs(
         ));
         let others: Vec<usize> = rows.iter().copied().filter(|&r| r != target_row).collect();
         let chosen = rng.sample_indices(others.len(), n);
-        let train_rows: Vec<usize> = chosen.iter().map(|&i| others[i]).collect();
-        let models: Vec<ProgramSpecificPredictor> =
-            train_rows.iter().map(|&r| pools[k][r].clone()).collect();
-        let offline = OfflineModel::from_parts(metric, train_rows, models);
+        let members: Vec<usize> = chosen.iter().map(|&i| others[i]).collect();
         let response_idxs = rng.sample_indices(ds.n_configs(), cfg.r);
-        let values: Vec<f64> = response_idxs
-            .iter()
-            .map(|&i| ds.benchmarks[target_row].metrics[i].get(metric))
-            .collect();
-        let predictor = offline.fit_responses(ds, &response_idxs, &values);
-        let (_, te, c) = evaluate(
-            &predictor,
-            ds,
-            &features,
-            target_row,
-            metric,
-            &response_idxs,
-        );
+        let (_, te, c) = pools.fold(k, &members, target_row, &response_idxs);
         (te, c)
     });
     let per_point = rows.len() * cfg.repeats;

@@ -105,7 +105,11 @@ impl Mlp {
                 1.0
             }
         };
-        let xn: Vec<Vec<f64>> = xs.iter().map(|x| x_scale.transform(x)).collect();
+        let d = input_dim;
+        let mut xn = vec![0.0; xs.len() * d];
+        for (x, row) in xs.iter().zip(xn.chunks_exact_mut(d)) {
+            x_scale.transform_into(x, row);
+        }
         let yn: Vec<f64> = ys.iter().map(|y| (y - y_mean) / y_std).collect();
 
         let mut rng = Xoshiro256::seed_from(cfg.seed);
@@ -114,55 +118,59 @@ impl Mlp {
             let bound = 1.0 / (fan_in as f64).sqrt();
             (rng.next_f64() * 2.0 - 1.0) * bound
         };
-        let mut w1: Vec<f64> = (0..h * input_dim)
-            .map(|_| init(&mut rng, input_dim))
-            .collect();
+        let mut w1: Vec<f64> = (0..h * d).map(|_| init(&mut rng, d)).collect();
         let mut b1 = vec![0.0; h];
         let mut w2: Vec<f64> = (0..h).map(|_| init(&mut rng, h)).collect();
         let mut b2 = 0.0;
 
-        // Momentum buffers.
+        // Momentum and gradient buffers.
         let mut vw1 = vec![0.0; w1.len()];
         let mut vb1 = vec![0.0; h];
         let mut vw2 = vec![0.0; h];
         let mut vb2 = 0.0;
+        let (mut gw1, mut gb1, mut gw2) = (vec![0.0; w1.len()], vec![0.0; h], vec![0.0; h]);
 
-        let mut order: Vec<usize> = (0..xn.len()).collect();
-        let mut hidden_out = vec![0.0; h];
+        let mut order: Vec<usize> = (0..yn.len()).collect();
+        let batch = cfg.batch.min(yn.len());
+        // Per mini-batch row: hidden activations and network output.
+        let (mut hid, mut out) = (vec![0.0; batch * h], vec![0.0; batch]);
+        let mut xn_t = vec![0.0; d * Self::ROW_BLOCK];
 
         for epoch in 0..cfg.epochs {
             let lr = cfg.learning_rate / (1.0 + 4.0 * epoch as f64 / cfg.epochs as f64);
             rng.shuffle(&mut order);
             for chunk in order.chunks(cfg.batch) {
-                // Accumulate gradients over the mini-batch.
-                let mut gw1 = vec![0.0; w1.len()];
-                let mut gb1 = vec![0.0; h];
-                let mut gw2 = vec![0.0; h];
-                let mut gb2 = 0.0;
-                for &i in chunk {
-                    let x = &xn[i];
-                    // Forward.
-                    for j in 0..h {
-                        let mut a = b1[j];
-                        let row = &w1[j * input_dim..(j + 1) * input_dim];
-                        for (wji, xi) in row.iter().zip(x) {
-                            a += wji * xi;
+                // Weights change only after the mini-batch, so its forward
+                // pass runs first, in row blocks.
+                for (base, block) in (0..)
+                    .step_by(Self::ROW_BLOCK)
+                    .zip(chunk.chunks(Self::ROW_BLOCK))
+                {
+                    for (r, &i) in block.iter().enumerate() {
+                        for (c, &v) in xn[i * d..(i + 1) * d].iter().enumerate() {
+                            xn_t[c * Self::ROW_BLOCK + r] = v;
                         }
-                        hidden_out[j] = a.tanh();
                     }
-                    let mut out = b2;
-                    for j in 0..h {
-                        out += w2[j] * hidden_out[j];
-                    }
-                    // Backward (squared-error loss, d = out - target).
-                    let d = out - yn[i];
-                    gb2 += d;
-                    for j in 0..h {
-                        gw2[j] += d * hidden_out[j];
-                        let dh = d * w2[j] * (1.0 - hidden_out[j] * hidden_out[j]);
+                    let o = forward_block(&w1, &b1, &w2, b2, &xn_t, block.len(), |r, j, t| {
+                        hid[(base + r) * h + j] = t
+                    });
+                    out[base..base + block.len()].copy_from_slice(&o[..block.len()]);
+                }
+                // Backward row by row (squared-error loss, e = out - target),
+                // accumulating gradients in mini-batch order.
+                gw1.fill(0.0);
+                gb1.fill(0.0);
+                gw2.fill(0.0);
+                let mut gb2 = 0.0;
+                for (r, &i) in chunk.iter().enumerate() {
+                    let x = &xn[i * d..(i + 1) * d];
+                    let e = out[r] - yn[i];
+                    gb2 += e;
+                    for (j, &hj) in hid[r * h..(r + 1) * h].iter().enumerate() {
+                        gw2[j] += e * hj;
+                        let dh = e * w2[j] * (1.0 - hj * hj);
                         gb1[j] += dh;
-                        let grow = &mut gw1[j * input_dim..(j + 1) * input_dim];
-                        for (g, xi) in grow.iter_mut().zip(x) {
+                        for (g, xi) in gw1[j * d..(j + 1) * d].iter_mut().zip(x) {
                             *g += dh * xi;
                         }
                     }
@@ -222,13 +230,8 @@ impl Mlp {
     /// `xs[r * input_dim + i]` is feature `i` of row `r`, and the `r`-th
     /// prediction lands in `out[r]`.
     ///
-    /// Rows are processed in blocks of [`Self::ROW_BLOCK`] with the
-    /// standardised inputs transposed per block (`xn_t[i * B + r]`), so
-    /// the hot inner loop is a fixed-width independent-accumulator sweep
-    /// across the block — autovectorization-friendly — while each row's
-    /// own accumulation order is exactly the scalar [`Mlp::predict`]
-    /// order (`b1[j]` then features in `i`-order; output from `b2` in
-    /// `j`-order). Batched results are therefore bit-identical to the
+    /// Rows run through [`forward_block`] in blocks of
+    /// [`Self::ROW_BLOCK`], so batched results are bit-identical to the
     /// scalar path, which the serving layer's end-to-end identity tests
     /// rely on.
     ///
@@ -258,22 +261,15 @@ impl Mlp {
                     xn_t[i * B + r] = row[i];
                 }
             }
-            let mut oacc = [self.b2; B];
-            for j in 0..self.hidden {
-                let w1row = &self.w1[j * d..(j + 1) * d];
-                let mut acc = [self.b1[j]; B];
-                for i in 0..d {
-                    let w = w1row[i];
-                    let col = &xn_t[i * B..i * B + B];
-                    for r in 0..B {
-                        acc[r] += w * col[r];
-                    }
-                }
-                let w2j = self.w2[j];
-                for r in 0..rows {
-                    oacc[r] += w2j * acc[r].tanh();
-                }
-            }
+            let oacc = forward_block(
+                &self.w1,
+                &self.b1,
+                &self.w2,
+                self.b2,
+                &xn_t,
+                rows,
+                |_, _, _| {},
+            );
             for r in 0..rows {
                 out[base + r] = oacc[r] * self.y_std + self.y_mean;
             }
@@ -293,6 +289,44 @@ impl Mlp {
     pub fn input_dim(&self) -> usize {
         self.input_dim
     }
+}
+
+/// One block of the forward pass over [`Mlp::ROW_BLOCK`] standardised
+/// rows, transposed (`xn_t[i * B + r]`) so the hot inner loop is a
+/// fixed-width independent-accumulator sweep across the block —
+/// autovectorization-friendly. Each row's own accumulation order is
+/// exactly the scalar [`Mlp::predict`] order (`b1[j]` then inputs in
+/// `i`-order; output from `b2` in `j`-order), so training and batched
+/// inference match the scalar path bit for bit. Returns the first `rows`
+/// standardised outputs and hands every hidden activation to
+/// `hidden(r, j, tanh)`; lanes past `rows` are ignored.
+fn forward_block(
+    w1: &[f64],
+    b1: &[f64],
+    w2: &[f64],
+    b2: f64,
+    xn_t: &[f64],
+    rows: usize,
+    mut hidden: impl FnMut(usize, usize, f64),
+) -> [f64; Mlp::ROW_BLOCK] {
+    const B: usize = Mlp::ROW_BLOCK;
+    let d = xn_t.len() / B;
+    let mut oacc = [b2; B];
+    for (j, (w1row, (&b1j, &w2j))) in w1.chunks_exact(d).zip(b1.iter().zip(w2)).enumerate() {
+        let mut acc = [b1j; B];
+        for (i, &w) in w1row.iter().enumerate() {
+            let col = &xn_t[i * B..i * B + B];
+            for r in 0..B {
+                acc[r] += w * col[r];
+            }
+        }
+        for r in 0..rows {
+            let t = acc[r].tanh();
+            hidden(r, j, t);
+            oacc[r] += w2j * t;
+        }
+    }
+    oacc
 }
 
 impl ToJson for Mlp {
@@ -502,6 +536,56 @@ mod tests {
                 "prediction changed across save/load at {x:?}"
             );
         }
+    }
+
+    /// FNV-1a over the bit patterns of every trained weight plus one
+    /// prediction: any change to the training arithmetic moves it.
+    fn weight_digest(net: &Mlp, probe: &[f64]) -> u64 {
+        let tail = [net.b2, net.predict(probe)];
+        let bits = net.w1.iter().chain(&net.b1).chain(&net.w2).chain(&tail);
+        bits.map(|v| v.to_bits())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    fn pinned_rows(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = Xoshiro256::seed_from(2007);
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..13).map(|i| rng.next_f64() * (i + 1) as f64).collect())
+            .collect();
+        let ys = xs
+            .iter()
+            .map(|x| 1e6 * (1.0 + x[0] * x[3] + (x[7] - x[12]).sin()) + 3e4 * x[5])
+            .collect();
+        (xs, ys)
+    }
+
+    #[test]
+    fn training_is_pinned_bit_for_bit() {
+        // Recorded before the batched training forward: full 32-row
+        // mini-batches, a ragged 32 + 18 split (tail block under 8 rows),
+        // and one-row mini-batches.
+        let cases = [
+            (96, MlpConfig::default(), 0xe497_11d2_d863_fe67_u64),
+            (50, MlpConfig::default(), 0x0978_94b8_1213_98d7),
+            (
+                40,
+                MlpConfig {
+                    batch: 1,
+                    epochs: 30,
+                    ..MlpConfig::default()
+                },
+                0x1a4c_4a29_67f6_1e85,
+            ),
+        ];
+        let mut got = Vec::new();
+        for (n, cfg, _) in &cases {
+            let (xs, ys) = pinned_rows(*n);
+            got.push(weight_digest(&Mlp::train(&xs, &ys, cfg), &xs[1]));
+        }
+        let want: Vec<u64> = cases.iter().map(|c| c.2).collect();
+        assert_eq!(got, want, "trained weights moved: {got:#x?}");
     }
 
     #[test]

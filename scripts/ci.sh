@@ -40,6 +40,14 @@ ARCHDSE_SANITIZE=1 cargo test -q --offline -p dse-sim
 echo "== util, space and obs unit tests =="
 cargo test -q --offline -p dse-util -p dse-space -p dse-obs
 
+# The remaining library crates' unit, doc and crate-level tests — the
+# MLP training pin, the leave-one-out determinism checks, the explorer,
+# ingest, workload, RNG and experiment-knob parsers — are out of the
+# root `cargo test`'s reach too. Release build: they train real ANNs.
+echo "== ml, core, explore, ingest, workload, rng and bench unit tests =="
+cargo test -q --release --offline -p dse-ml -p dse-core -p dse-explore \
+  -p dse-ingest -p dse-workload -p dse-rng -p dse-bench
+
 # The root `cargo test` runs only the root package, so the serve crate's
 # unit tests and HTTP/event-loop suites get their one pass here,
 # sanitized.

@@ -124,6 +124,45 @@ fn spans_nest_and_time_monotonically() {
 }
 
 #[test]
+fn leave_one_out_splits_into_pool_and_fold_phases() {
+    use archdse::core::xval::{loo, EvalConfig};
+    use archdse::prelude::*;
+    let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let profiles: Vec<Profile> = archdse::workload::suites::spec2000()
+        .into_iter()
+        .take(3)
+        .collect();
+    let spec = DatasetSpec {
+        n_configs: 16,
+        trace_len: 3_000,
+        warmup: 500,
+        ..DatasetSpec::tiny()
+    };
+    let ds = SuiteDataset::generate(&profiles, &spec);
+    let cfg = EvalConfig {
+        t: 8,
+        r: 4,
+        repeats: 2,
+        seed: 3,
+        mlp: MlpConfig {
+            epochs: 5,
+            ..MlpConfig::default()
+        },
+    };
+    let spans = spans_with_threads("2", 0, || {
+        loo(&ds, Suite::SpecCpu2000, Metric::Cycles, &cfg);
+    });
+    let find = |kind: &str| spans.iter().find(|s| s.kind == kind).unwrap();
+    let (root, pools, folds) = (find("xval.loo"), find("xval.pools"), find("xval.folds"));
+    assert_eq!((pools.parent, folds.parent), (root.seq, root.seq));
+    // Every repeat's pool trains in the one work list under `xval.pools`.
+    let trained: Vec<&Record> = spans.iter().filter(|s| s.kind == "train_mlp").collect();
+    assert_eq!(trained.len(), 3 * 2);
+    assert!(trained.iter().all(|s| s.parent == pools.seq));
+    assert!(folds.detail.contains("folds=6"), "{:?}", folds.detail);
+}
+
+#[test]
 fn quantile_ring_matches_exact_sorted_percentiles() {
     // One thread writes one shard, so size the ring to hold everything.
     let n = 500u64;
