@@ -100,15 +100,6 @@ impl Gshare {
         self.mispredictions
     }
 
-    /// Misprediction rate (0 when no predictions were made).
-    pub fn miss_rate(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
-    }
-
     /// Sanitizer hook: statistics and table self-consistency — counters
     /// must be 2-bit saturating values, the history must fit its mask and
     /// mispredictions can never exceed predictions.
@@ -237,7 +228,7 @@ mod tests {
         for _ in 0..20_000 {
             g.update(0x40_0000, rng.next_bool(0.5));
         }
-        let rate = g.miss_rate();
+        let rate = g.mispredictions() as f64 / g.predictions() as f64;
         assert!((0.35..0.65).contains(&rate), "miss rate {rate}");
     }
 
@@ -275,7 +266,7 @@ mod tests {
                 let (pc, bias) = branches[rng.next_index(branches.len())];
                 g.update(pc, rng.next_bool(bias));
             }
-            g.miss_rate()
+            g.mispredictions() as f64 / g.predictions() as f64
         };
         let small = run(64);
         let large = run(32 * 1024);

@@ -14,8 +14,10 @@ pub enum CacheOutcome {
 /// A set-associative, write-allocate cache modelling tags only.
 ///
 /// Data values are irrelevant to timing/energy, so only the tag array is
-/// kept. Replacement is true LRU via per-line timestamps (associativities
-/// in this design space are ≤ 8, so linear scans are fastest).
+/// kept. Replacement is true LRU: each set keeps its tags in
+/// most-recently-used-first order, so a hit moves its way to the front
+/// and a miss evicts the last way (associativities in this design space
+/// are ≤ 8, so linear scans and shifts are fastest).
 ///
 /// # Examples
 ///
@@ -33,11 +35,10 @@ pub struct Cache {
     assoc: usize,
     /// `tags[set * assoc + way]`, storing `line + 1` so that `0` marks an
     /// invalid way and the array starts life on zero pages instead of
-    /// paying a `u64::MAX` memset per construction.
+    /// paying a `u64::MAX` memset per construction. Each set is in
+    /// recency order, way 0 most recent; invalid ways collect at the tail,
+    /// so evicting the last way fills an invalid one first.
     tags: Vec<u64>,
-    /// LRU timestamps parallel to `tags`.
-    stamps: Vec<u64>,
-    tick: u64,
     accesses: u64,
     misses: u64,
 }
@@ -71,43 +72,32 @@ impl Cache {
             set_mask: sets - 1,
             assoc: assoc as usize,
             tags: vec![0; total],
-            stamps: vec![0; total],
-            tick: 0,
             accesses: 0,
             misses: 0,
         }
     }
 
-    /// Accesses `addr`, updating LRU state and filling on a miss.
+    /// Accesses `addr`, updating LRU order and filling on a miss.
     pub fn access(&mut self, addr: u64) -> CacheOutcome {
         self.accesses += 1;
-        self.tick += 1;
         let line = addr >> self.line_shift;
         let stored = line + 1;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.assoc;
+        let base = (line & self.set_mask) as usize * self.assoc;
         let ways = &mut self.tags[base..base + self.assoc];
-        if let Some(w) = ways.iter().position(|&t| t == stored) {
-            self.stamps[base + w] = self.tick;
-            return CacheOutcome::Hit;
-        }
-        self.misses += 1;
-        // Victim: invalid way first, else least recently used.
-        let victim = match ways.iter().position(|&t| t == 0) {
-            Some(w) => w,
-            None => {
-                let mut lru = 0;
-                for w in 1..self.assoc {
-                    if self.stamps[base + w] < self.stamps[base + lru] {
-                        lru = w;
-                    }
-                }
-                lru
-            }
+        // Move-to-front: the hit way (or, on a miss, the evicted last
+        // way's slot) takes way 0 and the more recent ways shift down one.
+        let (hit, w) = match ways.iter().position(|&t| t == stored) {
+            Some(w) => (true, w),
+            None => (false, ways.len() - 1),
         };
-        self.tags[base + victim] = stored;
-        self.stamps[base + victim] = self.tick;
-        CacheOutcome::Miss
+        ways.copy_within(..w, 1);
+        ways[0] = stored;
+        if hit {
+            CacheOutcome::Hit
+        } else {
+            self.misses += 1;
+            CacheOutcome::Miss
+        }
     }
 
     /// Total accesses so far.
@@ -155,15 +145,6 @@ impl Cache {
             }
         }
         Ok(())
-    }
-
-    /// Miss rate (0 when no accesses have happened).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
     }
 }
 
@@ -231,7 +212,11 @@ mod tests {
                 c.access(i * 32);
             }
         }
-        assert!(c.miss_rate() > 0.99, "miss rate {}", c.miss_rate());
+        assert!(
+            c.misses() * 100 > c.accesses() * 99,
+            "{} misses",
+            c.misses()
+        );
     }
 
     #[test]
@@ -242,7 +227,7 @@ mod tests {
             for _ in 0..20_000 {
                 c.access(rng.next_range(64 * 1024));
             }
-            c.miss_rate()
+            c.misses()
         };
         assert!(run(8) > run(32));
         assert!(run(32) > run(128));
@@ -255,6 +240,81 @@ mod tests {
             c.access((i % 8) * 32);
         }
         c.check_invariants("test").unwrap();
+    }
+
+    /// Reference LRU by timestamps: a unique stamp per access, an invalid
+    /// way filled first, else the way with the oldest stamp evicted.
+    struct StampLru {
+        line_shift: u32,
+        set_mask: u64,
+        assoc: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        tick: u64,
+    }
+
+    impl StampLru {
+        fn new(size_bytes: u64, line_bytes: u32, assoc: u32) -> Self {
+            let sets = size_bytes / line_bytes as u64 / assoc as u64;
+            let total = (sets * assoc as u64) as usize;
+            Self {
+                line_shift: line_bytes.trailing_zeros(),
+                set_mask: sets - 1,
+                assoc: assoc as usize,
+                tags: vec![0; total],
+                stamps: vec![0; total],
+                tick: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> CacheOutcome {
+            self.tick += 1;
+            let line = addr >> self.line_shift;
+            let base = (line & self.set_mask) as usize * self.assoc;
+            let ways = base..base + self.assoc;
+            if let Some(w) = ways.clone().find(|&w| self.tags[w] == line + 1) {
+                self.stamps[w] = self.tick;
+                return CacheOutcome::Hit;
+            }
+            let victim = ways
+                .clone()
+                .find(|&w| self.tags[w] == 0)
+                .unwrap_or_else(|| ways.min_by_key(|&w| self.stamps[w]).unwrap());
+            self.tags[victim] = line + 1;
+            self.stamps[victim] = self.tick;
+            CacheOutcome::Miss
+        }
+    }
+
+    #[test]
+    fn move_to_front_matches_timestamp_lru() {
+        for assoc in [1u32, 2, 4, 8] {
+            // 16 sets of 32-byte lines, so the streams below both fill
+            // cold sets and keep evicting from full ones.
+            let size = 16 * 32 * assoc as u64;
+            let mut rng = dse_rng::Xoshiro256::seed_from(assoc as u64);
+            let random: Vec<u64> = (0..20_000).map(|_| rng.next_range(64 * size)).collect();
+            // Blocks of 1,500 accesses cycle k = assoc, assoc + 1, assoc + 2
+            // conflicting lines through one set (hits, then LRU's
+            // cyclic-scan thrash), moving to a cold set every block.
+            let a = assoc as u64;
+            let strided: Vec<u64> = (0..20_000u64)
+                .map(|i| ((i % (a + i / 500 % 3)) * 16 + i / 1_500 % 16) * 32 + i % 8 * 4)
+                .collect();
+            for (name, stream) in [("random", &random), ("strided", &strided)] {
+                let mut mtf = Cache::new(size, 32, assoc);
+                let mut lru = StampLru::new(size, 32, assoc);
+                for (i, &a) in stream.iter().enumerate() {
+                    assert_eq!(
+                        mtf.access(a),
+                        lru.access(a),
+                        "assoc {assoc}, {name} access {i} to {a:#x}"
+                    );
+                }
+                mtf.check_invariants("mtf").unwrap();
+                assert!(mtf.misses() > 0 && mtf.misses() < mtf.accesses());
+            }
+        }
     }
 
     #[test]

@@ -88,6 +88,18 @@ pub fn stage_clock() -> u64 {
     }
 }
 
+/// [`stage_clock`] when `O` attributes stage time, else 0: one stage
+/// bracket, compiled away with the rest when [`SimObs::STAGE_TIMING`] is
+/// false.
+#[inline(always)]
+pub(crate) fn stage_stamp<O: SimObs>() -> u64 {
+    if O::STAGE_TIMING {
+        stage_clock()
+    } else {
+        0
+    }
+}
+
 /// Observer of pipeline execution. The run loop calls the hooks only
 /// when `ENABLED` is true, and the check is a monomorphised constant —
 /// an observer with `ENABLED = false` costs nothing at all.
@@ -169,6 +181,8 @@ pub struct StallProfile {
     pub fetch_stall_icache: u64,
     /// Fetch blocked on a full fetch queue.
     pub fetch_stall_queue_full: u64,
+    /// Fetch held at a branch by the in-flight branch limit.
+    pub fetch_stall_branch_limit: u64,
     /// Fetch idle because the trace is fully fetched (drain phase).
     pub fetch_drained: u64,
     /// High-water ROB occupancy.
@@ -231,6 +245,8 @@ impl SimObs for StallProfile {
                 self.fetch_drained += 1;
             } else if c.occ.fetch_q >= c.bounds.fetch_q {
                 self.fetch_stall_queue_full += 1;
+            } else if c.occ.branches >= c.bounds.branches {
+                self.fetch_stall_branch_limit += 1;
             }
         }
 
@@ -406,10 +422,11 @@ impl StallReport {
         ));
         out.push_str("fetch:    ");
         out.push_str(&format!(
-            "mispredict {:.1}%  icache {:.1}%  queue-full {:.1}%  drained {:.1}%\n",
+            "mispredict {:.1}%  icache {:.1}%  queue-full {:.1}%  branch-limit {:.1}%  drained {:.1}%\n",
             pct(p.fetch_stall_mispredict),
             pct(p.fetch_stall_icache),
             pct(p.fetch_stall_queue_full),
+            pct(p.fetch_stall_branch_limit),
             pct(p.fetch_drained),
         ));
         out.push_str(&format!(
@@ -467,6 +484,10 @@ impl ToJson for StallProfile {
             (
                 "fetch_stall_queue_full",
                 self.fetch_stall_queue_full.to_json(),
+            ),
+            (
+                "fetch_stall_branch_limit",
+                self.fetch_stall_branch_limit.to_json(),
             ),
             ("fetch_drained", self.fetch_drained.to_json()),
             ("hw_rob", (self.hw_rob as u64).to_json()),
@@ -576,10 +597,17 @@ mod tests {
         let mut c = cycle(1, 1, 0);
         c.occ.fetch_q = c.bounds.fetch_q;
         p.on_cycle(&c);
+        let mut c = cycle(1, 1, 0);
+        c.occ.branches = c.bounds.branches;
+        p.on_cycle(&c);
         assert_eq!(p.fetch_stall_mispredict, 1);
         assert_eq!(p.fetch_stall_icache, 1);
         assert_eq!(p.fetch_drained, 1);
         assert_eq!(p.fetch_stall_queue_full, 1);
+        assert_eq!(p.fetch_stall_branch_limit, 1);
+        // A fetch-less cycle with room under the limit has no cause.
+        p.on_cycle(&cycle(1, 1, 0));
+        assert_eq!(p.fetch_stall_branch_limit, 1);
     }
 
     #[test]

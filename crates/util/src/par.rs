@@ -7,6 +7,9 @@
 //! items (short traces, small configurations) immediately pull more work
 //! instead of idling — the paper's workload is exactly this shape: thousands
 //! of simulations whose cost varies several-fold with the configuration.
+//! Claims are guided: each takes a share of the work still unclaimed, so
+//! they shrink as the list drains and the last ones are single items — no
+//! thread is left finishing a large chunk while the others idle.
 //!
 //! The pool size comes from the `ARCHDSE_THREADS` environment variable and
 //! defaults to [`std::thread::available_parallelism`]. `ARCHDSE_THREADS=1`
@@ -48,12 +51,18 @@ fn parse_threads(value: &str) -> Result<usize, String> {
     }
 }
 
-/// Size of the work chunks handed to threads: large enough to amortise the
-/// cursor fetch and result merge, small enough that an unlucky thread
-/// holding the most expensive items cannot stall the tail.
+/// Largest claim a thread takes: large enough to amortise the cursor
+/// update and result merge while much work remains.
 fn chunk_len(n: usize, threads: usize) -> usize {
-    // ~4 chunks per thread keeps the tail short without merge overhead.
     (n / (threads * 4)).max(1)
+}
+
+/// Items the next claim takes with `remaining` still unclaimed: half a
+/// thread's even share of them (guided self-scheduling), at least one and
+/// at most `max` ([`chunk_len`]), so claims shrink to single items as the
+/// list drains.
+fn claim_len(remaining: usize, threads: usize, max: usize) -> usize {
+    (remaining / (2 * threads)).clamp(1, max)
 }
 
 /// Maps `f` over `items` in parallel, returning results in input order.
@@ -83,7 +92,7 @@ where
     if threads <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = chunk_len(n, threads);
+    let max_claim = chunk_len(n, threads);
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
@@ -96,12 +105,13 @@ where
         for _ in 0..threads {
             s.spawn(|| {
                 let _ctx = ctx.enter();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
+                let claim_end = |start: usize| start + claim_len(n - start, threads, max_claim);
+                while let Ok(start) =
+                    cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                        (s < n).then(|| claim_end(s))
+                    })
+                {
+                    let end = claim_end(start);
                     // Compute outside the lock; only the merge is serialised.
                     let results: Vec<R> = items[start..end].iter().map(f).collect();
                     let mut guard = out.lock().unwrap();
@@ -189,6 +199,33 @@ mod tests {
             let out = with_threads(Some(threads), || par_map(&items, |&x| x.wrapping_mul(x)));
             assert_eq!(out, serial, "mismatch at {threads} threads");
         }
+    }
+
+    #[test]
+    fn claims_cover_the_list_once_and_shrink_to_single_items() {
+        for (n, threads) in [(264, 2), (264, 4), (1000, 3), (7, 2), (1, 2), (5, 8)] {
+            let max = chunk_len(n, threads);
+            let mut claims = Vec::new();
+            let mut start = 0;
+            while start < n {
+                let len = claim_len(n - start, threads, max);
+                assert!((1..=max).contains(&len), "n {n}: claim {len} > {max}");
+                claims.push(start..start + len);
+                start += len;
+            }
+            // Claims tile [0, n) exactly: contiguous, no gap, no overlap.
+            assert_eq!(start, n);
+            assert!(claims.windows(2).all(|w| w[0].end == w[1].start));
+            let singles = claims.iter().rev().take_while(|c| c.len() == 1).count();
+            assert!(singles >= (2 * threads).min(n), "n {n}: {claims:?}");
+            assert!(claims.windows(2).all(|w| w[0].len() >= w[1].len()));
+        }
+        // The sweep grid at two threads: full-row claims first, then
+        // guided ones down to single cells.
+        assert_eq!(chunk_len(264, 2), 33);
+        assert_eq!(claim_len(264, 2, 33), 33);
+        assert_eq!(claim_len(100, 2, 33), 25);
+        assert_eq!(claim_len(3, 2, 33), 1);
     }
 
     #[test]

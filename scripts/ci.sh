@@ -33,6 +33,13 @@ ARCHDSE_SANITIZE=1 cargo test -q --offline \
 echo "== ARCHDSE_SANITIZE=1 sim unit tests =="
 ARCHDSE_SANITIZE=1 cargo test -q --offline -p dse-sim
 
+# The idle skip against every-cycle stepping, bit for bit: the debug pass
+# above checks short traces; a release build checks the full-length
+# (30k-instruction) traces of all eight `sweep` programs, sanitized.
+echo "== ARCHDSE_SANITIZE=1 idle skip vs stepping, full-length sweep traces =="
+ARCHDSE_SANITIZE=1 cargo test -q --release --offline -p dse-sim --lib \
+  idle_skip_matches_every_cycle_stepping_on_built_in_programs
+
 # The JSON layer (reader, tree, writer), the design space (config
 # field table and legal-value check) and the observability layer
 # (registry, trace recorder, flame table, log levels) have only unit
