@@ -126,6 +126,18 @@ impl GroundTruth for SimOracle {
     }
 }
 
+/// Most ground-truth simulations one job may spend, `rounds ×
+/// sims_per_round`: a frontier job is interactive, not a sweep.
+pub const MAX_SIMS: usize = 10_000;
+
+/// Most candidates one open-space round may build and score, 64× the
+/// default; this also bounds a round's rejection-sampling attempts.
+pub const MAX_CANDIDATES_PER_ROUND: usize = 16_384;
+
+/// Largest archive capacity. The archive holds simulated points only, so
+/// a larger cap could never fill.
+pub const MAX_ARCHIVE_CAP: usize = MAX_SIMS;
+
 /// How much work an explorer run may spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreBudget {
@@ -166,32 +178,51 @@ impl ExploreBudget {
         }
     }
 
-    /// Total ground-truth simulations the budget allows.
+    /// Total ground-truth simulations the budget allows (saturating, so
+    /// an oversized budget reads as huge rather than wrapping).
     pub fn max_sims(&self) -> usize {
-        self.rounds * self.sims_per_round
+        self.rounds.saturating_mul(self.sims_per_round)
     }
 
     /// Checks every field is usable.
     ///
     /// # Errors
     ///
-    /// Rejects zero rounds/candidates/sims/capacity and budgets over
-    /// 10,000 total sims (a frontier job is interactive, not a sweep).
+    /// Names the first field that is zero, `candidates_per_round` over
+    /// [`MAX_CANDIDATES_PER_ROUND`], `archive_cap` over
+    /// [`MAX_ARCHIVE_CAP`], or a `rounds × sims_per_round` product over
+    /// [`MAX_SIMS`].
     pub fn validate(&self) -> Result<(), ParseError> {
-        if self.rounds == 0
-            || self.candidates_per_round == 0
-            || self.sims_per_round == 0
-            || self.archive_cap == 0
-        {
-            return Err(ParseError("budget fields must all be positive".to_string()));
+        let fields = [
+            ("rounds", self.rounds),
+            ("candidates_per_round", self.candidates_per_round),
+            ("sims_per_round", self.sims_per_round),
+            ("archive_cap", self.archive_cap),
+        ];
+        if let Some((name, _)) = fields.iter().find(|(_, v)| *v == 0) {
+            return Err(ParseError(format!("budget field {name} must be positive")));
         }
-        if self.max_sims() > 10_000 {
+        let capped = [
+            (
+                "candidates_per_round",
+                self.candidates_per_round,
+                MAX_CANDIDATES_PER_ROUND,
+            ),
+            ("archive_cap", self.archive_cap, MAX_ARCHIVE_CAP),
+        ];
+        if let Some((name, v, cap)) = capped.iter().find(|(_, v, cap)| v > cap) {
             return Err(ParseError(format!(
-                "budget of {} sims exceeds the 10,000-sim job cap",
-                self.max_sims()
+                "budget field {name} = {v} exceeds its cap of {cap}"
             )));
         }
-        Ok(())
+        match self.rounds.checked_mul(self.sims_per_round) {
+            Some(n) if n <= MAX_SIMS => Ok(()),
+            _ => Err(ParseError(format!(
+                "budget fields rounds × sims_per_round = {} × {} exceed the \
+                 {MAX_SIMS}-sim job cap",
+                self.rounds, self.sims_per_round
+            ))),
+        }
     }
 }
 
@@ -705,5 +736,42 @@ mod tests {
             ..ExploreBudget::default()
         };
         assert!(b.validate().is_err());
+    }
+
+    #[test]
+    fn budget_validation_names_the_field_and_never_wraps() {
+        let err = |b: ExploreBudget| b.validate().unwrap_err().0;
+        let d = ExploreBudget::default();
+        // 2^32 × 2^32 wraps to 0 in 64-bit arithmetic.
+        let wrap = ExploreBudget {
+            rounds: 1 << 32,
+            sims_per_round: 1 << 32,
+            ..d
+        };
+        assert_eq!(wrap.max_sims(), usize::MAX);
+        assert!(err(wrap).contains("rounds × sims_per_round"));
+        let e = err(ExploreBudget {
+            candidates_per_round: 1_000_000_000_000,
+            ..d
+        });
+        assert!(e.contains("candidates_per_round"), "{e}");
+        let e = err(ExploreBudget {
+            archive_cap: MAX_ARCHIVE_CAP + 1,
+            ..d
+        });
+        assert!(e.contains("archive_cap"), "{e}");
+        let e = err(ExploreBudget {
+            sims_per_round: 0,
+            ..d
+        });
+        assert!(e.contains("sims_per_round"), "{e}");
+        let at_caps = ExploreBudget {
+            rounds: 1,
+            candidates_per_round: MAX_CANDIDATES_PER_ROUND,
+            sims_per_round: MAX_SIMS,
+            archive_cap: MAX_ARCHIVE_CAP,
+            ..d
+        };
+        assert!(at_caps.validate().is_ok());
     }
 }

@@ -11,6 +11,9 @@
 //! * [`scale`] — feature/target standardisation;
 //! * [`mlp`] — feed-forward network, tanh hidden layer, linear output,
 //!   mini-batch back-propagation with momentum (§5.2.1);
+//! * [`tanh`] — its activation, a bit-exact port of glibc's tanh as a
+//!   scalar reference and a branch-free lane kernel, so results do not
+//!   depend on the host's libm;
 //! * [`rbf`] — radial-basis-function networks, the alternative
 //!   program-specific model the paper cites (Joseph et al., MICRO-39);
 //! * [`linreg`] — OLS via the normal equations with a ridge fallback
@@ -30,6 +33,7 @@ pub mod mlp;
 pub mod rbf;
 pub mod scale;
 pub mod stats;
+pub mod tanh;
 
 pub use cluster::{Dendrogram, Merge};
 pub use linalg::Matrix;

@@ -8,6 +8,7 @@
 
 use crate::scale::Standardizer;
 use crate::stats;
+use crate::tanh::{tanh, tanh_in_place};
 use dse_rng::Xoshiro256;
 use dse_util::json::{FromJson, Json, JsonError, ToJson};
 
@@ -141,7 +142,8 @@ impl Mlp {
             rng.shuffle(&mut order);
             for chunk in order.chunks(cfg.batch) {
                 // Weights change only after the mini-batch, so its forward
-                // pass runs first, in row blocks.
+                // pass runs first: pre-activations in row blocks into the
+                // `hid` tile, one tanh pass over the tile, then outputs.
                 for (base, block) in (0..)
                     .step_by(Self::ROW_BLOCK)
                     .zip(chunk.chunks(Self::ROW_BLOCK))
@@ -151,10 +153,16 @@ impl Mlp {
                             xn_t[c * Self::ROW_BLOCK + r] = v;
                         }
                     }
-                    let o = forward_block(&w1, &b1, &w2, b2, &xn_t, block.len(), |r, j, t| {
-                        hid[(base + r) * h + j] = t
+                    preactivations(&w1, &b1, &xn_t, |j, acc| {
+                        for (r, &a) in acc[..block.len()].iter().enumerate() {
+                            hid[(base + r) * h + j] = a;
+                        }
                     });
-                    out[base..base + block.len()].copy_from_slice(&o[..block.len()]);
+                }
+                let hid = &mut hid[..chunk.len() * h];
+                tanh_in_place(hid);
+                for (o, t) in out.iter_mut().zip(hid.chunks_exact(h)) {
+                    *o = output(&w2, b2, t.iter().copied());
                 }
                 // Backward row by row (squared-error loss, e = out - target),
                 // accumulating gradients in mini-batch order.
@@ -214,26 +222,22 @@ impl Mlp {
     pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
         let xn = self.x_scale.transform(x);
-        let mut out = self.b2;
-        for j in 0..self.hidden {
-            let mut a = self.b1[j];
-            let row = &self.w1[j * self.input_dim..(j + 1) * self.input_dim];
-            for (w, xi) in row.iter().zip(&xn) {
-                a += w * xi;
-            }
-            out += self.w2[j] * a.tanh();
-        }
-        out * self.y_std + self.y_mean
+        let hidden = self
+            .w1
+            .chunks_exact(self.input_dim)
+            .zip(&self.b1)
+            .map(|(row, &b)| tanh(row.iter().zip(&xn).fold(b, |a, (w, xi)| a + w * xi)));
+        output(&self.w2, self.b2, hidden) * self.y_std + self.y_mean
     }
 
     /// True matrix–matrix forward over a flat row-major batch:
     /// `xs[r * input_dim + i]` is feature `i` of row `r`, and the `r`-th
     /// prediction lands in `out[r]`.
     ///
-    /// Rows run through [`forward_block`] in blocks of
-    /// [`Self::ROW_BLOCK`], so batched results are bit-identical to the
-    /// scalar path, which the serving layer's end-to-end identity tests
-    /// rely on.
+    /// Rows run through `preactivations` in blocks of
+    /// [`Self::ROW_BLOCK`], then [`crate::tanh::tanh_in_place`] over each block's
+    /// tile, so batched results are bit-identical to the scalar path,
+    /// which the serving layer's end-to-end identity tests rely on.
     ///
     /// # Panics
     ///
@@ -246,6 +250,7 @@ impl Mlp {
         const B: usize = Mlp::ROW_BLOCK;
         let mut row = vec![0.0; d];
         let mut xn_t = vec![0.0; d * B];
+        let mut tile = vec![0.0; self.hidden * B];
         let mut base = 0;
         while base < n_rows {
             let rows = (n_rows - base).min(B);
@@ -261,17 +266,13 @@ impl Mlp {
                     xn_t[i * B + r] = row[i];
                 }
             }
-            let oacc = forward_block(
-                &self.w1,
-                &self.b1,
-                &self.w2,
-                self.b2,
-                &xn_t,
-                rows,
-                |_, _, _| {},
-            );
-            for r in 0..rows {
-                out[base + r] = oacc[r] * self.y_std + self.y_mean;
+            preactivations(&self.w1, &self.b1, &xn_t, |j, acc| {
+                tile[j * B..(j + 1) * B].copy_from_slice(acc)
+            });
+            tanh_in_place(&mut tile);
+            for (r, o) in out[base..base + rows].iter_mut().enumerate() {
+                let hidden = tile.iter().skip(r).step_by(B).copied();
+                *o = output(&self.w2, self.b2, hidden) * self.y_std + self.y_mean;
             }
             base += rows;
         }
@@ -291,28 +292,23 @@ impl Mlp {
     }
 }
 
-/// One block of the forward pass over [`Mlp::ROW_BLOCK`] standardised
-/// rows, transposed (`xn_t[i * B + r]`) so the hot inner loop is a
-/// fixed-width independent-accumulator sweep across the block —
-/// autovectorization-friendly. Each row's own accumulation order is
+/// Hidden-layer pre-activations of one block of [`Mlp::ROW_BLOCK`]
+/// standardised rows, transposed (`xn_t[i * B + r]`) so the hot inner
+/// loop is a fixed-width independent-accumulator sweep across the block
+/// — autovectorization-friendly. Hands neuron `j`'s pre-activations for
+/// the whole block to `pre(j, acc)`. Each row's accumulation order is
 /// exactly the scalar [`Mlp::predict`] order (`b1[j]` then inputs in
-/// `i`-order; output from `b2` in `j`-order), so training and batched
-/// inference match the scalar path bit for bit. Returns the first `rows`
-/// standardised outputs and hands every hidden activation to
-/// `hidden(r, j, tanh)`; lanes past `rows` are ignored.
-fn forward_block(
+/// `i`-order), so training and batched inference match the scalar path
+/// bit for bit.
+fn preactivations(
     w1: &[f64],
     b1: &[f64],
-    w2: &[f64],
-    b2: f64,
     xn_t: &[f64],
-    rows: usize,
-    mut hidden: impl FnMut(usize, usize, f64),
-) -> [f64; Mlp::ROW_BLOCK] {
+    mut pre: impl FnMut(usize, &[f64; Mlp::ROW_BLOCK]),
+) {
     const B: usize = Mlp::ROW_BLOCK;
     let d = xn_t.len() / B;
-    let mut oacc = [b2; B];
-    for (j, (w1row, (&b1j, &w2j))) in w1.chunks_exact(d).zip(b1.iter().zip(w2)).enumerate() {
+    for (j, (w1row, &b1j)) in w1.chunks_exact(d).zip(b1).enumerate() {
         let mut acc = [b1j; B];
         for (i, &w) in w1row.iter().enumerate() {
             let col = &xn_t[i * B..i * B + B];
@@ -320,13 +316,14 @@ fn forward_block(
                 acc[r] += w * col[r];
             }
         }
-        for r in 0..rows {
-            let t = acc[r].tanh();
-            hidden(r, j, t);
-            oacc[r] += w2j * t;
-        }
+        pre(j, &acc);
     }
-    oacc
+}
+
+/// The linear output from hidden activations in `j`-order, starting at
+/// `b2`: the one summation order every forward path shares.
+fn output(w2: &[f64], b2: f64, hidden: impl Iterator<Item = f64>) -> f64 {
+    w2.iter().zip(hidden).fold(b2, |o, (w, t)| o + w * t)
 }
 
 impl ToJson for Mlp {

@@ -123,3 +123,36 @@ fn extreme_inputs_stay_bit_identical() {
     ];
     assert_bit_identical(&net, &rows);
 }
+
+#[test]
+fn extreme_preactivations_stay_bit_identical() {
+    // A hand-built network with an identity standardizer and zero
+    // biases, so hidden unit j's pre-activation is exactly `w1[j] * x`:
+    // each nonzero row drives some units to |a| >= 22 (tanh is +-1) and
+    // others below 2^-55 (tanh is a(1 + a)), the lane kernel's extreme
+    // lanes, beside zeros, subnormals and every path in between.
+    let w1: [f64; 10] = [1.0, -1.0, 1e-20, -1e-20, 40.0, -40.0, 1e-300, 0.5, 3.0, 1e6];
+    let w2 = [0.5, -0.25, 1e17, -1e17, 2.0, -3.0, 1e300, 1.5, -0.75, 1.0];
+    let text = format!(
+        r#"{{"input_dim":1,"hidden":10,"w1":{w1:?},"b1":{b1:?},"w2":{w2:?},"b2":0.0,"x_scale":{{"means":[0.0],"stds":[1.0]}},"y_mean":0.0,"y_std":1.0}}"#,
+        b1 = [0.0; 10],
+    );
+    let net: Mlp = dse_util::json::from_str(&text).unwrap();
+    let xs: [f64; 14] = [
+        1.0, -1.0, 0.6, -2.0, 0.0, -0.0, 1e-3, 7.0, 1e-10, -0.3, 25.0, 5e-324, 0.17, 700.0,
+    ];
+    let (mut tiny, mut saturated) = (0, 0);
+    for x in xs {
+        for w in w1 {
+            let a = w * x;
+            tiny += usize::from(a != 0.0 && a.abs() < f64::from_bits(0x3c80_0000_0000_0000));
+            saturated += usize::from(a.abs() >= 22.0);
+        }
+    }
+    assert!(
+        tiny >= 10 && saturated >= 10,
+        "tiny {tiny}, saturated {saturated}"
+    );
+    let rows: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
+    assert_bit_identical(&net, &rows);
+}

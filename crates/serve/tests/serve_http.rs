@@ -574,6 +574,45 @@ fn explore_rejects_bad_requests() {
 }
 
 #[test]
+fn explore_rejects_budgets_past_their_caps() {
+    let (server, addr) = start_server(&ServerConfig::default());
+    let mut client = Client::new(addr);
+    let target = fit_target(&mut client);
+    // One body per budget field. 2^32 × 2^32 rounds × sims wraps to 0
+    // in unchecked 64-bit arithmetic.
+    let cases = [
+        (
+            "rounds",
+            "\"rounds\":4294967296,\"sims_per_round\":4294967296",
+        ),
+        ("sims_per_round", "\"rounds\":1,\"sims_per_round\":10001"),
+        (
+            "candidates_per_round",
+            "\"candidates_per_round\":1000000000000",
+        ),
+        ("archive_cap", "\"archive_cap\":10001"),
+    ];
+    for (field, budget) in cases {
+        let body = format!(
+            "{{\"program\":\"{target}\",\"objective\":\"cycles\",\"budget\":{{{budget}}}}}"
+        );
+        let resp = client.post("/v1/explore", &body).unwrap();
+        let text = resp.text().unwrap_or_default();
+        assert_eq!(resp.status, 400, "{field}: {text}");
+        assert!(
+            text.contains(field),
+            "error for {field} does not name it: {text}"
+        );
+    }
+    let list = client.get("/v1/explore").unwrap().json().unwrap();
+    let jobs = list
+        .field("jobs")
+        .and_then(|v| v.as_array().map(<[_]>::len));
+    assert_eq!(jobs.unwrap(), 0, "rejected budgets must not register jobs");
+    server.stop();
+}
+
+#[test]
 fn explore_job_cap_answers_429_and_cancel_stops_a_running_job() {
     let cfg = ServerConfig {
         max_explore_jobs: 1,

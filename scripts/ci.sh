@@ -8,6 +8,16 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+# dse-ml keeps exactly one tanh, its `tanh` module's port of libm's:
+# only that module's reference test may call the host's own.
+echo "== dse-ml calls no libm tanh =="
+if grep -rnE '\.tanh\(|f64::tanh' crates/ml/src --include='*.rs' \
+    | grep -v '^crates/ml/src/tanh/tests.rs:' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "crates/ml/src calls libm's tanh outside crates/ml/src/tanh/tests.rs"
+  exit 1
+fi
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 

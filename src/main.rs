@@ -1605,6 +1605,21 @@ mod tests {
     }
 
     #[test]
+    fn explore_rejects_budgets_past_their_caps_with_exit_2() {
+        // Validation runs before the models directory is read, so a
+        // missing one would exit 1, not 2.
+        for flags in [
+            ["--rounds", "4294967296", "--sims", "4294967296"],
+            ["--candidates", "1000000000000", "--sims", "4"],
+            ["--archive", "10001", "--sims", "4"],
+        ] {
+            let mut args = vec!["gzip".to_string(), "--models".into(), "no-such-dir".into()];
+            args.extend(flags.iter().map(|f| f.to_string()));
+            assert_eq!(cmd_explore(&args), 2, "{flags:?}");
+        }
+    }
+
+    #[test]
     fn parse_metric_accepts_both_spellings() {
         assert_eq!(parse_metric("cycles").unwrap(), Metric::Cycles);
         assert_eq!(parse_metric("Cycles").unwrap(), Metric::Cycles);
