@@ -270,8 +270,7 @@ impl OfflineModel {
     /// Panics if `reg` was fitted on a different number of programs than
     /// this ensemble holds.
     pub fn predict_with(&self, reg: &LinearRegression, features: &[f64]) -> f64 {
-        let per_program: Vec<f64> = self.models.iter().map(|m| m.predict(features)).collect();
-        reg.predict(&per_program)
+        reg.predict_iter(self.models.iter().map(|m| m.predict(features)))
     }
 
     /// Batched [`OfflineModel::predict_with`]: runs every per-program

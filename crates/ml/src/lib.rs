@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod isa;
 pub mod linalg;
 pub mod linreg;
 pub mod mlp;

@@ -128,8 +128,18 @@ impl LinearRegression {
     ///
     /// Panics if `x` has the wrong width.
     pub fn predict(&self, x: &[f64]) -> f64 {
+        self.predict_iter(x.iter().copied())
+    }
+
+    /// [`LinearRegression::predict`] over a row yielded in order, so a
+    /// caller can combine values as it computes them, without a buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has the wrong width.
+    pub fn predict_iter(&self, x: impl ExactSizeIterator<Item = f64>) -> f64 {
         assert_eq!(x.len(), self.weights.len(), "feature width mismatch");
-        self.intercept + x.iter().zip(&self.weights).map(|(a, b)| a * b).sum::<f64>()
+        self.intercept + x.zip(&self.weights).map(|(a, b)| a * b).sum::<f64>()
     }
 }
 

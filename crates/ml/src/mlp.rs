@@ -6,9 +6,10 @@
 //! mini-batch back-propagation with momentum. Inputs and targets are
 //! standardised internally, fitted on the training data.
 
+use crate::isa::{self, Kernel};
 use crate::scale::Standardizer;
 use crate::stats;
-use crate::tanh::{tanh, tanh_in_place};
+use crate::tanh::{self, tanh};
 use dse_rng::Xoshiro256;
 use dse_util::json::{FromJson, Json, JsonError, ToJson};
 
@@ -95,6 +96,13 @@ impl Mlp {
             cfg.hidden > 0 && cfg.epochs > 0 && cfg.batch > 0,
             "hidden, epochs and batch must be positive"
         );
+        isa::run(Train(xs, ys, cfg))
+    }
+
+    /// [`Mlp::train`]'s body, built for each ISA tier by [`Train`].
+    #[inline(always)]
+    fn train_body(xs: &[Vec<f64>], ys: &[f64], cfg: &MlpConfig) -> Self {
+        const B: usize = Mlp::ROW_BLOCK;
         let input_dim = xs[0].len();
         let x_scale = Standardizer::fit(xs);
         let y_mean = stats::mean(ys);
@@ -106,10 +114,11 @@ impl Mlp {
                 1.0
             }
         };
-        let d = input_dim;
-        let mut xn = vec![0.0; xs.len() * d];
-        for (x, row) in xs.iter().zip(xn.chunks_exact_mut(d)) {
-            x_scale.transform_into(x, row);
+        // Standardised rows, zero-padded to `dp`, a multiple of B wide.
+        let (d, dp) = (input_dim, input_dim.next_multiple_of(B));
+        let mut xn = vec![0.0; xs.len() * dp];
+        for (x, row) in xs.iter().zip(xn.chunks_exact_mut(dp)) {
+            x_scale.transform_into(x, &mut row[..d]);
         }
         let yn: Vec<f64> = ys.iter().map(|y| (y - y_mean) / y_std).collect();
 
@@ -133,9 +142,12 @@ impl Mlp {
 
         let mut order: Vec<usize> = (0..yn.len()).collect();
         let batch = cfg.batch.min(yn.len());
-        // Per mini-batch row: hidden activations and network output.
+        // Per mini-batch row: hidden activations, network output, and the
+        // hidden units' error terms, `hp` wide (zero past `h`).
         let (mut hid, mut out) = (vec![0.0; batch * h], vec![0.0; batch]);
-        let mut xn_t = vec![0.0; d * Self::ROW_BLOCK];
+        let hp = h.next_multiple_of(UNITS);
+        let mut dh = vec![0.0; batch * hp];
+        let mut xn_t = vec![0.0; d * B];
 
         for epoch in 0..cfg.epochs {
             let lr = cfg.learning_rate / (1.0 + 4.0 * epoch as f64 / cfg.epochs as f64);
@@ -144,13 +156,10 @@ impl Mlp {
                 // Weights change only after the mini-batch, so its forward
                 // pass runs first: pre-activations in row blocks into the
                 // `hid` tile, one tanh pass over the tile, then outputs.
-                for (base, block) in (0..)
-                    .step_by(Self::ROW_BLOCK)
-                    .zip(chunk.chunks(Self::ROW_BLOCK))
-                {
+                for (base, block) in (0..).step_by(B).zip(chunk.chunks(B)) {
                     for (r, &i) in block.iter().enumerate() {
-                        for (c, &v) in xn[i * d..(i + 1) * d].iter().enumerate() {
-                            xn_t[c * Self::ROW_BLOCK + r] = v;
+                        for (c, &v) in xn[i * dp..i * dp + d].iter().enumerate() {
+                            xn_t[c * B + r] = v;
                         }
                     }
                     preactivations(&w1, &b1, &xn_t, |j, acc| {
@@ -160,29 +169,30 @@ impl Mlp {
                     });
                 }
                 let hid = &mut hid[..chunk.len() * h];
-                tanh_in_place(hid);
+                tanh::kernel(hid);
                 for (o, t) in out.iter_mut().zip(hid.chunks_exact(h)) {
                     *o = output(&w2, b2, t.iter().copied());
                 }
-                // Backward row by row (squared-error loss, e = out - target),
-                // accumulating gradients in mini-batch order.
-                gw1.fill(0.0);
+                // Backward (squared-error loss, e = out - target): each
+                // gradient sums its products from 0.0 in mini-batch row
+                // order, as a row-by-row pass would.
                 gb1.fill(0.0);
                 gw2.fill(0.0);
                 let mut gb2 = 0.0;
-                for (r, &i) in chunk.iter().enumerate() {
-                    let x = &xn[i * d..(i + 1) * d];
-                    let e = out[r] - yn[i];
+                let rows = out
+                    .iter()
+                    .zip(hid.chunks_exact(h))
+                    .zip(dh.chunks_exact_mut(hp));
+                for (((&o, t), g), &i) in rows.zip(chunk) {
+                    let e = o - yn[i];
                     gb2 += e;
-                    for (j, &hj) in hid[r * h..(r + 1) * h].iter().enumerate() {
-                        gw2[j] += e * hj;
-                        let dh = e * w2[j] * (1.0 - hj * hj);
-                        gb1[j] += dh;
-                        for (g, xi) in gw1[j * d..(j + 1) * d].iter_mut().zip(x) {
-                            *g += dh * xi;
-                        }
+                    for j in 0..h {
+                        gw2[j] += e * t[j];
+                        g[j] = e * w2[j] * (1.0 - t[j] * t[j]);
+                        gb1[j] += g[j];
                     }
                 }
+                input_gradients((&xn, d, dp), chunk, (&dh, hp), &mut gw1);
                 let scale = lr / chunk.len() as f64;
                 for (w, (v, g)) in w1.iter_mut().zip(vw1.iter_mut().zip(&gw1)) {
                     *v = cfg.momentum * *v - scale * g;
@@ -201,7 +211,7 @@ impl Mlp {
             }
         }
 
-        Self {
+        Mlp {
             input_dim,
             hidden: h,
             w1,
@@ -221,12 +231,18 @@ impl Mlp {
     /// Panics if `x` does not match the training dimensionality.
     pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let xn = self.x_scale.transform(x);
+        // Standardise on the stack; only a row over 32 wide allocates.
+        let (mut stack, mut heap) = ([0.0; 32], None);
+        let xn = match stack.get_mut(..x.len()) {
+            Some(xn) => xn,
+            None => heap.insert(vec![0.0; x.len()]).as_mut_slice(),
+        };
+        self.x_scale.transform_into(x, xn);
         let hidden = self
             .w1
             .chunks_exact(self.input_dim)
             .zip(&self.b1)
-            .map(|(row, &b)| tanh(row.iter().zip(&xn).fold(b, |a, (w, xi)| a + w * xi)));
+            .map(|(row, &b)| tanh(row.iter().zip(&*xn).fold(b, |a, (w, xi)| a + w * xi)));
         output(&self.w2, self.b2, hidden) * self.y_std + self.y_mean
     }
 
@@ -244,6 +260,13 @@ impl Mlp {
     /// Panics if `xs.len() != n_rows * input_dim` or `out` is shorter
     /// than `n_rows`.
     pub fn predict_batch_into(&self, xs: &[f64], n_rows: usize, out: &mut [f64]) {
+        isa::run(PredictBatch(self, xs, n_rows, out))
+    }
+
+    /// [`Mlp::predict_batch_into`]'s body, built for each ISA tier by
+    /// [`PredictBatch`].
+    #[inline(always)]
+    fn predict_batch_body(&self, xs: &[f64], n_rows: usize, out: &mut [f64]) {
         let d = self.input_dim;
         assert_eq!(xs.len(), n_rows * d, "batch buffer length mismatch");
         assert!(out.len() >= n_rows, "output buffer too short");
@@ -269,7 +292,7 @@ impl Mlp {
             preactivations(&self.w1, &self.b1, &xn_t, |j, acc| {
                 tile[j * B..(j + 1) * B].copy_from_slice(acc)
             });
-            tanh_in_place(&mut tile);
+            tanh::kernel(&mut tile);
             for (r, o) in out[base..base + rows].iter_mut().enumerate() {
                 let hidden = tile.iter().skip(r).step_by(B).copied();
                 *o = output(&self.w2, self.b2, hidden) * self.y_std + self.y_mean;
@@ -292,6 +315,69 @@ impl Mlp {
     }
 }
 
+/// [`Mlp::train`] as a [`Kernel`].
+struct Train<'a>(&'a [Vec<f64>], &'a [f64], &'a MlpConfig);
+
+impl Kernel for Train<'_> {
+    type Output = Mlp;
+    #[inline(always)]
+    fn run(self) -> Mlp {
+        Mlp::train_body(self.0, self.1, self.2)
+    }
+}
+
+/// [`Mlp::predict_batch_into`] as a [`Kernel`].
+struct PredictBatch<'a>(&'a Mlp, &'a [f64], usize, &'a mut [f64]);
+
+impl Kernel for PredictBatch<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        self.0.predict_batch_body(self.1, self.2, self.3)
+    }
+}
+
+/// Hidden units whose input gradients [`input_gradients`] sums at once:
+/// the paper's 10-neuron hidden layer makes two groups.
+const UNITS: usize = 5;
+
+/// Fills `gw1[j * d + i]` with the sum over the mini-batch `chunk`, from
+/// 0.0 in row order, of `dh[r][j] * x[r][i]`: `xn` holds the rows `dp`
+/// wide, zero past `d`, and `dh` each row's error terms `hp` wide. Each
+/// pass keeps one B-lane accumulator for each of [`UNITS`] hidden units.
+#[inline(always)]
+fn input_gradients(
+    (xn, d, dp): (&[f64], usize, usize),
+    chunk: &[usize],
+    (dh, hp): (&[f64], usize),
+    gw1: &mut [f64],
+) {
+    const B: usize = Mlp::ROW_BLOCK;
+    let h = gw1.len() / d;
+    for c in (0..dp).step_by(B) {
+        for j0 in (0..hp).step_by(UNITS) {
+            let mut acc = [[0.0; B]; UNITS];
+            for (r, &i) in chunk.iter().enumerate() {
+                let x = xn[i * dp + c..]
+                    .first_chunk::<B>()
+                    .expect("rows are dp wide");
+                let g = dh[r * hp + j0..]
+                    .first_chunk::<UNITS>()
+                    .expect("rows are hp wide");
+                for (a, &g) in acc.iter_mut().zip(g) {
+                    for (a, &x) in a.iter_mut().zip(x) {
+                        *a += g * x;
+                    }
+                }
+            }
+            for (j, a) in (j0..h).zip(&acc) {
+                let width = B.min(d - c);
+                gw1[j * d + c..][..width].copy_from_slice(&a[..width]);
+            }
+        }
+    }
+}
+
 /// Hidden-layer pre-activations of one block of [`Mlp::ROW_BLOCK`]
 /// standardised rows, transposed (`xn_t[i * B + r]`) so the hot inner
 /// loop is a fixed-width independent-accumulator sweep across the block
@@ -300,6 +386,7 @@ impl Mlp {
 /// exactly the scalar [`Mlp::predict`] order (`b1[j]` then inputs in
 /// `i`-order), so training and batched inference match the scalar path
 /// bit for bit.
+#[inline(always)]
 fn preactivations(
     w1: &[f64],
     b1: &[f64],
@@ -322,6 +409,7 @@ fn preactivations(
 
 /// The linear output from hidden activations in `j`-order, starting at
 /// `b2`: the one summation order every forward path shares.
+#[inline(always)]
 fn output(w2: &[f64], b2: f64, hidden: impl Iterator<Item = f64>) -> f64 {
     w2.iter().zip(hidden).fold(b2, |o, (w, t)| o + w * t)
 }
@@ -377,6 +465,11 @@ impl FromJson for Mlp {
                 net.w2.len()
             )));
         }
+        // A zero or negative target scale predicts a constant or a
+        // sign-flipped value.
+        if net.y_std.is_nan() || net.y_std <= 0.0 {
+            return Err(JsonError::msg(format!("y_std is {}, not > 0", net.y_std)));
+        }
         if net.x_scale.dim() != net.input_dim {
             return Err(JsonError::msg(format!(
                 "standardizer dim {} disagrees with input dim {}",
@@ -391,6 +484,7 @@ impl FromJson for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::Tier;
     use crate::stats::{correlation, rmae};
 
     fn grid2(n: usize) -> Vec<Vec<f64>> {
@@ -558,12 +652,11 @@ mod tests {
         (xs, ys)
     }
 
-    #[test]
-    fn training_is_pinned_bit_for_bit() {
-        // Recorded before the batched training forward: full 32-row
-        // mini-batches, a ragged 32 + 18 split (tail block under 8 rows),
-        // and one-row mini-batches.
-        let cases = [
+    /// Recorded before the batched training forward: full 32-row
+    /// mini-batches, a ragged 32 + 18 split (tail block under 8 rows),
+    /// and one-row mini-batches.
+    fn pinned_cases() -> [(usize, MlpConfig, u64); 3] {
+        [
             (96, MlpConfig::default(), 0xe497_11d2_d863_fe67_u64),
             (50, MlpConfig::default(), 0x0978_94b8_1213_98d7),
             (
@@ -575,7 +668,12 @@ mod tests {
                 },
                 0x1a4c_4a29_67f6_1e85,
             ),
-        ];
+        ]
+    }
+
+    #[test]
+    fn training_is_pinned_bit_for_bit() {
+        let cases = pinned_cases();
         let mut got = Vec::new();
         for (n, cfg, _) in &cases {
             let (xs, ys) = pinned_rows(*n);
@@ -583,6 +681,162 @@ mod tests {
         }
         let want: Vec<u64> = cases.iter().map(|c| c.2).collect();
         assert_eq!(got, want, "trained weights moved: {got:#x?}");
+    }
+
+    #[test]
+    fn every_tier_trains_and_predicts_the_same_bits() {
+        for tier in Tier::testable() {
+            for (n, cfg, want) in pinned_cases() {
+                let (xs, ys) = pinned_rows(n);
+                let net = isa::run_on(tier, Train(&xs, &ys, &cfg));
+                let got = weight_digest(&net, &xs[1]);
+                assert_eq!(got, want, "{tier:?} build, {n} rows: {got:#x}");
+                // 13 rows leave a 5-row tail block.
+                for rows in [n, 13] {
+                    let flat: Vec<f64> = xs[..rows].iter().flatten().copied().collect();
+                    let (mut out, mut want) = (vec![0.0; rows], vec![0.0; rows]);
+                    isa::run_on(tier, PredictBatch(&net, &flat, rows, &mut out));
+                    isa::run_on(Tier::Portable, PredictBatch(&net, &flat, rows, &mut want));
+                    for (r, (a, b)) in out.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{tier:?} build, row {r} of {rows}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bit patterns of every trained weight.
+    fn weight_bits(net: &Mlp) -> Vec<u64> {
+        let tail = [net.b2];
+        let weights = net.w1.iter().chain(&net.b1).chain(&net.w2).chain(&tail);
+        weights.map(|v| v.to_bits()).collect()
+    }
+
+    /// The training step row by row, as it ran before the blocked
+    /// backward: each row's forward with the scalar tanh, then its
+    /// backward, every gradient accumulated in mini-batch row order.
+    fn train_row_by_row(xs: &[Vec<f64>], ys: &[f64], cfg: &MlpConfig) -> Mlp {
+        let d = xs[0].len();
+        let x_scale = Standardizer::fit(xs);
+        let y_mean = stats::mean(ys);
+        let y_std = match stats::std_dev(ys) {
+            s if s > 0.0 => s,
+            _ => 1.0,
+        };
+        let xn: Vec<Vec<f64>> = xs.iter().map(|x| x_scale.transform(x)).collect();
+        let yn: Vec<f64> = ys.iter().map(|y| (y - y_mean) / y_std).collect();
+        let mut rng = Xoshiro256::seed_from(cfg.seed);
+        let h = cfg.hidden;
+        let init = |rng: &mut Xoshiro256, fan_in: usize| {
+            let bound = 1.0 / (fan_in as f64).sqrt();
+            (rng.next_f64() * 2.0 - 1.0) * bound
+        };
+        let mut w1: Vec<f64> = (0..h * d).map(|_| init(&mut rng, d)).collect();
+        let mut b1 = vec![0.0; h];
+        let mut w2: Vec<f64> = (0..h).map(|_| init(&mut rng, h)).collect();
+        let mut b2 = 0.0;
+        let (mut vw1, mut vb1, mut vw2, mut vb2) =
+            (vec![0.0; h * d], vec![0.0; h], vec![0.0; h], 0.0);
+        let step = |w: &mut [f64], v: &mut [f64], g: &[f64], scale: f64| {
+            for (w, (v, g)) in w.iter_mut().zip(v.iter_mut().zip(g)) {
+                *v = cfg.momentum * *v - scale * g;
+                *w += *v;
+            }
+        };
+        let mut order: Vec<usize> = (0..yn.len()).collect();
+        for epoch in 0..cfg.epochs {
+            let lr = cfg.learning_rate / (1.0 + 4.0 * epoch as f64 / cfg.epochs as f64);
+            rng.shuffle(&mut order);
+            for chunk in order.chunks(cfg.batch) {
+                let hid: Vec<Vec<f64>> = chunk
+                    .iter()
+                    .map(|&i| {
+                        let pre = |(row, &b): (&[f64], &f64)| {
+                            row.iter().zip(&xn[i]).fold(b, |a, (w, x)| a + w * x)
+                        };
+                        w1.chunks_exact(d).zip(&b1).map(pre).map(tanh).collect()
+                    })
+                    .collect();
+                let (mut gw1, mut gb1, mut gw2, mut gb2) =
+                    (vec![0.0; h * d], vec![0.0; h], vec![0.0; h], 0.0);
+                for (t, &i) in hid.iter().zip(chunk) {
+                    let e = output(&w2, b2, t.iter().copied()) - yn[i];
+                    gb2 += e;
+                    for (j, &hj) in t.iter().enumerate() {
+                        gw2[j] += e * hj;
+                        let dh = e * w2[j] * (1.0 - hj * hj);
+                        gb1[j] += dh;
+                        for (g, xi) in gw1[j * d..(j + 1) * d].iter_mut().zip(&xn[i]) {
+                            *g += dh * xi;
+                        }
+                    }
+                }
+                let scale = lr / chunk.len() as f64;
+                step(&mut w1, &mut vw1, &gw1, scale);
+                step(&mut b1, &mut vb1, &gb1, scale);
+                step(&mut w2, &mut vw2, &gw2, scale);
+                vb2 = cfg.momentum * vb2 - scale * gb2;
+                b2 += vb2;
+            }
+        }
+        Mlp {
+            input_dim: d,
+            hidden: h,
+            w1,
+            b1,
+            w2,
+            b2,
+            x_scale,
+            y_mean,
+            y_std,
+        }
+    }
+
+    #[test]
+    fn blocked_backward_matches_row_by_row_reference() {
+        // 45 rows leave ragged last mini-batches of 3 (batch 7) and 13
+        // (batch 32), and a 5-row tail block in the forward.
+        let n = 45;
+        let tiers = Tier::testable();
+        for d in [1, 7, 8, 9, 13, 17] {
+            let mut rng = Xoshiro256::seed_from(d as u64);
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..d).map(|_| rng.next_f64() * 4.0 - 2.0).collect())
+                .collect();
+            let ys: Vec<f64> = xs
+                .iter()
+                .map(|x| {
+                    x.iter()
+                        .enumerate()
+                        .map(|(i, v)| ((i + 1) as f64 * v).sin())
+                        .sum()
+                })
+                .collect();
+            for hidden in [1, 10, 16] {
+                for batch in [1, 7, 32, n] {
+                    let cfg = MlpConfig {
+                        hidden,
+                        batch,
+                        epochs: 3,
+                        seed: (d * 100 + hidden) as u64,
+                        ..MlpConfig::default()
+                    };
+                    let want = weight_bits(&train_row_by_row(&xs, &ys, &cfg));
+                    for &tier in &tiers {
+                        let net = isa::run_on(tier, Train(&xs, &ys, &cfg));
+                        assert_eq!(
+                            weight_bits(&net),
+                            want,
+                            "{tier:?} build, input_dim {d}, hidden {hidden}, batch {batch}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -594,5 +848,24 @@ mod tests {
         assert!(dse_util::json::from_str::<Mlp>(&bad).is_err());
         let bad_hidden = good.replacen("\"hidden\":10", "\"hidden\":9", 1);
         assert!(dse_util::json::from_str::<Mlp>(&bad_hidden).is_err());
+    }
+
+    #[test]
+    fn json_rejects_a_non_positive_y_std() {
+        let net = Mlp::train(
+            &grid2(16),
+            &grid2(16).iter().map(|x| x[0]).collect::<Vec<_>>(),
+            &MlpConfig::default(),
+        );
+        let good = dse_util::json::to_string(&net);
+        let at = good.find("\"y_std\":").unwrap() + "\"y_std\":".len();
+        let end = at + good[at..].find(['}', ',']).unwrap();
+        for bad_std in ["0", "-0.0", "-2.5"] {
+            let bad = format!("{}{bad_std}{}", &good[..at], &good[end..]);
+            let err = dse_util::json::from_str::<Mlp>(&bad)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("y_std is"), "{bad_std}: {err}");
+        }
     }
 }

@@ -119,6 +119,12 @@ impl FromJson for Standardizer {
         if s.means.is_empty() {
             return Err(JsonError::msg("standardizer has zero dimensions"));
         }
+        // A negative scale would flip its feature's sign at inference; a
+        // zero one is a constant column, which maps to zero.
+        if let Some(i) = s.stds.iter().position(|v| v.is_nan() || *v < 0.0) {
+            let msg = format!("standardizer stds[{i}] is {}, not >= 0", s.stds[i]);
+            return Err(JsonError::msg(msg));
+        }
         Ok(s)
     }
 }
@@ -186,5 +192,16 @@ mod tests {
     fn json_rejects_mismatched_dims() {
         assert!(dse_util::json::from_str::<Standardizer>(r#"{"means":[1,2],"stds":[1]}"#).is_err());
         assert!(dse_util::json::from_str::<Standardizer>(r#"{"means":[],"stds":[]}"#).is_err());
+    }
+
+    #[test]
+    fn json_rejects_a_negative_std() {
+        let err = dse_util::json::from_str::<Standardizer>(r#"{"means":[1,2],"stds":[1,-0.5]}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("stds[1] is -0.5"), "{err}");
+        // A constant column's zero scale stays legal.
+        let s: Standardizer = dse_util::json::from_str(r#"{"means":[1,2],"stds":[0,1]}"#).unwrap();
+        assert_eq!(s.transform(&[5.0, 3.0]), vec![0.0, 1.0]);
     }
 }

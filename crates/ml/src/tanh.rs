@@ -13,9 +13,10 @@
 //! lane kernel: every lane computes every path's operations and keeps
 //! the result of its own path, so each lane's bits are the reference's.
 //! Training inputs jump between the paths, so removing the branches is
-//! where the speed comes from. Both are compiled twice from one source:
-//! for AVX2 + FMA, chosen at run time, and portably, where
-//! [`f64::mul_add`] is the same fused operation done in software.
+//! where the speed comes from. Both are compiled from one source for
+//! the crate's ISA tiers, chosen at run time (the scalar one for at most
+//! AVX2 + FMA); in the portable build [`f64::mul_add`] is the same fused
+//! operation done in software.
 //!
 //! Only the `expm1` paths tanh reaches are ported: its argument is
 //! `2|x|` in [2, 44) or `-2|x|` in (-2, -2^-54], so the reduction
@@ -32,6 +33,8 @@
 // software is freely granted, provided that this notice
 // is preserved.
 // ====================================================
+
+use crate::isa::{self, Kernel, Tier};
 
 #[cfg(test)]
 mod tests;
@@ -50,54 +53,36 @@ const Q4: f64 = f64::from_bits(0x3ed0_cfca_86e6_5239);
 const Q5: f64 = f64::from_bits(0xbe8a_fdb7_6e09_c32d);
 
 /// `tanh(x)` by glibc 2.36's operation sequence over `__expm1_fma`: the
-/// scalar reference every lane of [`tanh_in_place`] matches.
+/// scalar reference every lane of [`tanh_in_place`] matches. Built for
+/// AVX2 + FMA where the CPU has them, so each fused step is one
+/// instruction rather than a call into libm's `fma`.
 pub fn tanh(x: f64) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2_fma() {
-        // SAFETY: the CPU supports AVX2 and FMA, checked just above.
-        return unsafe { tanh_avx2_fma(x) };
-    }
-    reference(x)
+    isa::run_on(Tier::host().min(Tier::Avx2Fma), Scalar(x))
 }
 
 /// Replaces every element of `xs` by its [`tanh`], bit for bit.
 pub fn tanh_in_place(xs: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2_fma() {
-        // SAFETY: the CPU supports AVX2 and FMA, checked just above.
-        return unsafe { tanh_in_place_avx2_fma(xs) };
+    isa::run(InPlace(xs))
+}
+
+struct Scalar(f64);
+
+impl Kernel for Scalar {
+    type Output = f64;
+    #[inline(always)]
+    fn run(self) -> f64 {
+        reference(self.0)
     }
-    kernel(xs)
 }
 
-/// Whether this CPU runs the AVX2 + FMA builds. std caches the CPUID
-/// probe, so after the first call this is two relaxed atomic loads.
-#[cfg(target_arch = "x86_64")]
-fn has_avx2_fma() -> bool {
-    std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
-}
+struct InPlace<'a>(&'a mut [f64]);
 
-/// [`reference`] compiled for AVX2 + FMA, where each fused step is one
-/// instruction rather than a call into libm's `fma`.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tanh_avx2_fma(x: f64) -> f64 {
-    reference(x)
-}
-
-/// [`kernel`] compiled for AVX2 + FMA.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tanh_in_place_avx2_fma(xs: &mut [f64]) {
-    kernel(xs)
+impl Kernel for InPlace<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        kernel(self.0)
+    }
 }
 
 /// The port itself, inlined into each build.
@@ -202,10 +187,11 @@ fn pow2_neg(k: u64) -> f64 {
     f64::from_bits(1023u64.wrapping_sub(k) << 52)
 }
 
-/// The lane kernel over a slice, inlined into each build. The loop
-/// vectorizes because [`tanh_lane`] has no branches.
+/// The lane kernel over a slice, inlined into each build (the MLP's
+/// kernels call it directly). The loop vectorizes because [`tanh_lane`]
+/// has no branches.
 #[inline(always)]
-fn kernel(xs: &mut [f64]) {
+pub(crate) fn kernel(xs: &mut [f64]) {
     for x in xs {
         *x = tanh_lane(*x);
     }

@@ -1,4 +1,4 @@
-//! The port against its pins: a digest of libm's bits, the AVX2 + FMA
+//! The port against its pins: a digest of libm's bits, every ISA tier's
 //! builds against the portable ones, and the host's libm itself.
 
 use super::*;
@@ -128,32 +128,30 @@ fn kernel_matches_reference_on_every_tail_length() {
 
 #[test]
 fn portable_and_avx2_fma_builds_agree() {
+    // Every ISA tier the CPU has, AVX-512 included, against the portable
+    // build: the scalar reference and the lane kernel on every tail
+    // length and on one long slice.
     let xs = sample_inputs(4096, 77);
     let mut portable = xs.clone();
     kernel(&mut portable);
     for (x, t) in xs.iter().zip(&portable) {
         assert_eq!(reference(*x).to_bits(), t.to_bits(), "portable tanh({x:e})");
     }
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2_fma() {
+    for tier in Tier::testable() {
         for x in &xs {
-            // SAFETY: the CPU supports AVX2 and FMA, checked above.
-            let fast = unsafe { tanh_avx2_fma(*x) };
-            assert_eq!(
-                fast.to_bits(),
-                reference(*x).to_bits(),
-                "scalar tanh({x:e})"
-            );
+            let fast = isa::run_on(tier, Scalar(*x));
+            let want = reference(*x).to_bits();
+            assert_eq!(fast.to_bits(), want, "{tier:?} scalar tanh({x:e})");
         }
-        for len in [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, xs.len()] {
+        for len in [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, xs.len()] {
             for chunk in xs.chunks(len).chain(xs.rchunks(len)) {
                 let mut fast = chunk.to_vec();
                 let mut slow = chunk.to_vec();
-                // SAFETY: the CPU supports AVX2 and FMA, checked above.
-                unsafe { tanh_in_place_avx2_fma(&mut fast) };
+                isa::run_on(tier, InPlace(&mut fast));
                 kernel(&mut slow);
                 for ((x, f), s) in chunk.iter().zip(fast).zip(slow) {
-                    assert_eq!(f.to_bits(), s.to_bits(), "tanh({x:e}), len {len}");
+                    let (f, s) = (f.to_bits(), s.to_bits());
+                    assert_eq!(f, s, "{tier:?} tanh({x:e}), len {len}");
                 }
             }
         }
@@ -165,7 +163,7 @@ fn portable_and_avx2_fma_builds_agree() {
 #[test]
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 fn matches_host_libm_where_expm1_is_fused() {
-    if !has_avx2_fma() {
+    if Tier::host() < Tier::Avx2Fma {
         return;
     }
     let xs = sample_inputs(100_000, 1);

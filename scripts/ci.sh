@@ -9,12 +9,19 @@ echo "== cargo fmt --check =="
 cargo fmt --check
 
 # dse-ml keeps exactly one tanh, its `tanh` module's port of libm's:
-# only that module's reference test may call the host's own.
+# only that module's reference test may call the host's own. It also
+# keeps one multiversion site: only its `isa` module may build code for
+# CPU features chosen at run time.
 echo "== dse-ml calls no libm tanh =="
 if grep -rnE '\.tanh\(|f64::tanh' crates/ml/src --include='*.rs' \
     | grep -v '^crates/ml/src/tanh/tests.rs:' \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
   echo "crates/ml/src calls libm's tanh outside crates/ml/src/tanh/tests.rs"
+  exit 1
+fi
+if grep -rn '#\[target_feature' crates/ml/src --include='*.rs' \
+    | grep -v '^crates/ml/src/isa.rs:'; then
+  echo "crates/ml/src uses #[target_feature outside crates/ml/src/isa.rs"
   exit 1
 fi
 
