@@ -470,6 +470,19 @@ mod tests {
     }
 
     #[test]
+    fn imported_trace_decode_bytes_carry_source_counts() {
+        let p = profile_from_trace_str(&looping_trace()).unwrap();
+        let t = dse_workload::TraceGenerator::new(&p).generate(4_000);
+        let mut seen = [0; 3];
+        for (i, &m) in t.metas().iter().enumerate() {
+            let want = (t.src1s()[i] > 0) as u32 + (t.src2s()[i] > 0) as u32;
+            assert_eq!(dse_workload::meta::sources(m), want, "instruction {i}");
+            seen[want as usize] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every count occurs: {seen:?}");
+    }
+
+    #[test]
     fn fits_mix_blocks_and_branch_classes_from_a_loop() {
         let p = profile_from_trace_str(&looping_trace()).unwrap();
         assert_eq!(p.name, "loopy");

@@ -141,6 +141,37 @@ impl SimObs for NoObs {
     fn on_idle(&mut self, _skipped: u64) {}
 }
 
+/// Two observers of one run, e.g. a [`StallProfile`] and a
+/// [`StageProf`]: cycle and stage-time hooks reach the observers that
+/// enable them, and both see every idle skip.
+impl<A: SimObs, B: SimObs> SimObs for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+    const STAGE_TIMING: bool = A::STAGE_TIMING || B::STAGE_TIMING;
+
+    fn on_cycle(&mut self, c: &CycleObs) {
+        if A::ENABLED {
+            self.0.on_cycle(c);
+        }
+        if B::ENABLED {
+            self.1.on_cycle(c);
+        }
+    }
+
+    fn on_idle(&mut self, skipped: u64) {
+        self.0.on_idle(skipped);
+        self.1.on_idle(skipped);
+    }
+
+    fn on_stage_times(&mut self, t: &StageTimes) {
+        if A::STAGE_TIMING {
+            self.0.on_stage_times(t);
+        }
+        if B::STAGE_TIMING {
+            self.1.on_stage_times(t);
+        }
+    }
+}
+
 /// Cycle-by-cycle stall attribution over a whole run (warm-up included).
 ///
 /// Every stepped cycle lands in exactly one commit-outcome bucket:
@@ -443,60 +474,31 @@ impl StallReport {
 
 impl ToJson for StallProfile {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("cycles_stepped", self.cycles_stepped.to_json()),
-            ("cycles_idle", self.cycles_idle.to_json()),
-            ("instructions", self.instructions.to_json()),
-            ("cycles_with_commit", self.cycles_with_commit.to_json()),
-            (
-                "commit_stall_rob_empty",
-                self.commit_stall_rob_empty.to_json(),
-            ),
-            (
-                "commit_stall_head_wait",
-                self.commit_stall_head_wait.to_json(),
-            ),
-            (
-                "dispatch_stall_upstream",
-                self.dispatch_stall_upstream.to_json(),
-            ),
-            (
-                "dispatch_stall_rob_full",
-                self.dispatch_stall_rob_full.to_json(),
-            ),
-            (
-                "dispatch_stall_iq_full",
-                self.dispatch_stall_iq_full.to_json(),
-            ),
-            (
-                "dispatch_stall_lsq_full",
-                self.dispatch_stall_lsq_full.to_json(),
-            ),
-            (
-                "dispatch_stall_regs_full",
-                self.dispatch_stall_regs_full.to_json(),
-            ),
-            (
-                "fetch_stall_mispredict",
-                self.fetch_stall_mispredict.to_json(),
-            ),
-            ("fetch_stall_icache", self.fetch_stall_icache.to_json()),
-            (
-                "fetch_stall_queue_full",
-                self.fetch_stall_queue_full.to_json(),
-            ),
-            (
-                "fetch_stall_branch_limit",
-                self.fetch_stall_branch_limit.to_json(),
-            ),
-            ("fetch_drained", self.fetch_drained.to_json()),
-            ("hw_rob", (self.hw_rob as u64).to_json()),
-            ("hw_iq", (self.hw_iq as u64).to_json()),
-            ("hw_lsq", (self.hw_lsq as u64).to_json()),
-            ("hw_phys", (self.hw_phys as u64).to_json()),
-            ("hw_fetch_q", (self.hw_fetch_q as u64).to_json()),
-            ("hw_branches", (self.hw_branches as u64).to_json()),
-        ])
+        let fields: [(&str, u64); 22] = [
+            ("cycles_stepped", self.cycles_stepped),
+            ("cycles_idle", self.cycles_idle),
+            ("instructions", self.instructions),
+            ("cycles_with_commit", self.cycles_with_commit),
+            ("commit_stall_rob_empty", self.commit_stall_rob_empty),
+            ("commit_stall_head_wait", self.commit_stall_head_wait),
+            ("dispatch_stall_upstream", self.dispatch_stall_upstream),
+            ("dispatch_stall_rob_full", self.dispatch_stall_rob_full),
+            ("dispatch_stall_iq_full", self.dispatch_stall_iq_full),
+            ("dispatch_stall_lsq_full", self.dispatch_stall_lsq_full),
+            ("dispatch_stall_regs_full", self.dispatch_stall_regs_full),
+            ("fetch_stall_mispredict", self.fetch_stall_mispredict),
+            ("fetch_stall_icache", self.fetch_stall_icache),
+            ("fetch_stall_queue_full", self.fetch_stall_queue_full),
+            ("fetch_stall_branch_limit", self.fetch_stall_branch_limit),
+            ("fetch_drained", self.fetch_drained),
+            ("hw_rob", self.hw_rob as u64),
+            ("hw_iq", self.hw_iq as u64),
+            ("hw_lsq", self.hw_lsq as u64),
+            ("hw_phys", self.hw_phys as u64),
+            ("hw_fetch_q", self.hw_fetch_q as u64),
+            ("hw_branches", self.hw_branches as u64),
+        ];
+        Json::obj(fields.map(|(k, v)| (k, v.to_json())))
     }
 }
 
@@ -632,6 +634,38 @@ mod tests {
         assert!(!StallProfile::STAGE_TIMING);
         assert!(StageProf::STAGE_TIMING);
         assert!(!StageProf::ENABLED, "StageProf must skip CycleObs builds");
+    }
+
+    #[test]
+    fn a_pair_observes_what_each_observer_sees_alone() {
+        type Pair = (StallProfile, StageProf);
+        assert!(Pair::ENABLED && Pair::STAGE_TIMING);
+        assert!(!<(NoObs, NoObs)>::ENABLED && !<(NoObs, StageProf)>::ENABLED);
+        let p = dse_workload::Profile::template("pair", dse_workload::Suite::SpecCpu2000, 3);
+        let trace = dse_workload::TraceGenerator::new(&p).generate(6_000);
+        fn run<O: SimObs>(trace: &dse_workload::Trace, obs: &mut O) -> crate::SimResult {
+            let (cfg, cons) = (
+                dse_space::Config::baseline(),
+                dse_space::ConstantParams::standard(),
+            );
+            let opts = crate::SimOptions::with_warmup(1_000);
+            let p = crate::Pipeline::new(&cfg, &cons, trace, opts);
+            p.try_run_full_obs(obs).unwrap().result
+        }
+        let (mut stall, mut stages) = (StallProfile::default(), StageProf::default());
+        let mut pair = Pair::default();
+        let results = [
+            run(&trace, &mut stall),
+            run(&trace, &mut stages),
+            run(&trace, &mut pair),
+        ];
+        assert!(results.iter().all(|r| *r == results[0]));
+        let (pair_stall, pair_stages) = &pair;
+        assert_eq!(*pair_stall, stall);
+        assert_eq!(
+            (pair_stages.cycles_stepped, pair_stages.cycles_idle),
+            (stages.cycles_stepped, stages.cycles_idle)
+        );
     }
 
     #[test]

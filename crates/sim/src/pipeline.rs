@@ -23,18 +23,20 @@
 //! # Hot-loop memory layout
 //!
 //! The steady-state cycle loop performs **zero heap allocation**; every
-//! structure is a fixed-capacity buffer sized from the [`Config`] at
-//! construction:
+//! structure is a fixed-capacity buffer allocated at construction, and
+//! every ring has a constant power-of-two size, so each mask is a
+//! constant and the bounds checks fold away:
 //!
 //! * the trace is borrowed as structure-of-arrays columns (shared by all
 //!   sweep simulations of a benchmark), including a precomputed decode
-//!   byte per instruction ([`dse_workload::meta`]);
+//!   byte per instruction ([`dse_workload::meta`]) that also carries its
+//!   source-operand count;
 //! * the ROB and fetch queue hold *consecutive* trace positions by
 //!   construction (fetch, dispatch and commit are all in program order),
 //!   so both are plain counters: ROB = `[committed, dispatched)`,
 //!   fetch queue = `[dispatched, next_fetch)`;
-//! * completion times live in a power-of-two ring indexed by trace
-//!   position, sized to cover the in-flight window (ROB + fetch queue);
+//! * completion times live in a `RING`-slot ring indexed by trace
+//!   position, covering the largest in-flight window (ROB + fetch queue);
 //!   positions below the commit watermark are complete by definition;
 //! * the issue queue is wakeup-driven and lives in the completion ring's
 //!   slots: a dispatched entry links itself under each unissued producer
@@ -71,6 +73,10 @@ use dse_workload::{meta, InstrKind, Trace};
 const ARCH_REGS: u32 = 32;
 /// Fetch-queue capacity in multiples of the width.
 const FETCH_QUEUE_WIDTHS: usize = 4;
+/// Slots of every ring indexed by trace position. It must cover the
+/// in-flight [`window`]: 208 positions at the largest legal ROB (160) and
+/// width (8), as [`Pipeline::new`] checks.
+const RING: usize = 256;
 /// Size of the writeback-port reservation ring. Must exceed the span of
 /// *live* (still-future) reservations: every reservation lies within
 /// `(cycle, cycle + max completion latency]`, where the worst case is a
@@ -229,13 +235,11 @@ pub struct Pipeline<'t> {
 
     cycle: u64,
     /// Completion (result-available) cycle per in-flight trace position,
-    /// a power-of-two ring indexed by `idx & cmask`; `u64::MAX` from fetch
-    /// until scheduled. Positions below `committed` are complete by
-    /// definition (commit requires completion), so the window
-    /// `[committed, next_fetch)` — which the ring is sized to cover — is
-    /// the only range ever consulted.
-    complete: Box<[u64]>,
-    cmask: usize,
+    /// indexed by `idx & (RING - 1)`; `u64::MAX` from fetch until
+    /// scheduled. Positions below `committed` are complete by definition
+    /// (commit requires completion), so the window `[committed,
+    /// next_fetch)` — which the ring covers — is the only range consulted.
+    complete: Box<[u64; RING]>,
 
     /// In-order stage cursors over trace positions. The ROB is
     /// `[committed, dispatched)` and the fetch queue `[dispatched,
@@ -252,20 +256,20 @@ pub struct Pipeline<'t> {
     iq_len: usize,
     /// Unissued producers per entry (indexed like `complete`); the entry
     /// is scheduled when this reaches 0.
-    pending: Box<[u8]>,
+    pending: Box<[u8; RING]>,
     /// Latest known producer completion per entry: once `pending` is 0,
     /// every operand is available at `ready_at`.
-    ready_at: Box<[u64]>,
+    ready_at: Box<[u64; RING]>,
     /// Head of each producer slot's dependant list: a link
     /// `consumer_slot << 1 | operand`, or [`NIL`]. An entry reading one
     /// producer through both operands links (and counts) it twice.
-    dep_head: Box<[u32]>,
+    dep_head: Box<[u32; RING]>,
     /// Next link after each `consumer_slot << 1 | operand` link.
-    dep_next: Box<[u32]>,
+    dep_next: Box<[u32; 2 * RING]>,
     /// Ready set: one bit per ring slot, set while the entry's operands
     /// are all available and it has not issued. Walking it from
-    /// `committed & cmask` visits entries in program order.
-    ready_bits: Box<[u64]>,
+    /// `committed & (RING - 1)` visits entries in program order.
+    ready_bits: [u64; RING / 64],
     /// Set bits in `ready_bits`.
     ready_len: usize,
     lsq_occ: u32,
@@ -285,15 +289,18 @@ pub struct Pipeline<'t> {
     /// FP mul/div. Fixed arrays; `fu_len` holds the pool sizes.
     fu_busy: [[u64; MAX_FU]; 4],
     fu_len: [u8; 4],
+    /// `(result latency, unit occupancy)` per [`InstrKind`] discriminant
+    /// ([`exec_table`]); memory kinds also go through `data_access`.
+    exec: [(u64, u64); 9],
 
     /// Writeback-port reservations, a ring indexed by cycle: a slot is
     /// live while `wb_tag` holds its cycle (0 = free: reservations are
     /// strictly positive cycles), with `wb_used` ports taken. Zeroed
     /// arrays keep construction on the allocator's zero-page fast path.
-    wb_tag: Box<[u64]>,
+    wb_tag: Box<[u64; WB_RING]>,
     /// Ports taken per live `wb_tag` slot; `rf_write <= width <= 8` fits
     /// a byte, keeping the ring's random probes to a quarter the lines.
-    wb_used: Box<[u8]>,
+    wb_used: Box<[u8; WB_RING]>,
 
     l2_free_at: u64,
     mem_free_at: u64,
@@ -318,12 +325,12 @@ pub struct Pipeline<'t> {
     /// Wakeup wheel: slot `t & (WAKE_WHEEL-1)` heads the list of entries
     /// (ring slots, chained through `wake_next`) that become ready at
     /// cycle `t`. A head is live only while its `wheel_bits` bit is set.
-    wheel_head: Box<[u32]>,
+    wheel_head: Box<[u32; WAKE_WHEEL]>,
     /// Next entry after each ring slot in its wheel list.
-    wake_next: Box<[u32]>,
+    wake_next: Box<[u32; RING]>,
     /// One bit per wheel slot, set exactly while its list is non-empty;
     /// lets [`Pipeline::idle_skip`] sweep 64 slots per word read.
-    wheel_bits: Box<[u64]>,
+    wheel_bits: Box<[u64; WAKE_WHEEL / 64]>,
     /// `(ready cycle, ring slot)` events beyond the wheel horizon
     /// (unreachable for legal configurations; kept so the wheel cannot
     /// silently alias).
@@ -343,7 +350,8 @@ impl<'t> Pipeline<'t> {
     /// # Panics
     ///
     /// Panics if the trace is empty or shorter than the warm-up, or the
-    /// configuration is illegal.
+    /// configuration is illegal or its ROB and width lie beyond the
+    /// design-space grid's largest in-flight window.
     pub fn new(cfg: &Config, cons: &ConstantParams, trace: &'t Trace, options: SimOptions) -> Self {
         assert!(cfg.is_legal(), "configuration fails the legality filter");
         assert!(!trace.is_empty(), "trace must not be empty");
@@ -388,11 +396,10 @@ impl<'t> Pipeline<'t> {
         } else {
             None
         };
-        let fetch_cap = FETCH_QUEUE_WIDTHS * cfg.width as usize;
-        // The completion ring must cover every position in
-        // `[committed, next_fetch)` plus slack for same-cycle transitions.
-        let window = cfg.rob as usize + fetch_cap + 2 * cfg.width as usize;
-        let csize = window.next_power_of_two();
+        assert!(
+            window(cfg.rob as usize, cfg.width as usize) <= RING,
+            "in-flight window exceeds RING"
+        );
         Self {
             cfg: *cfg,
             cons: *cons,
@@ -425,17 +432,16 @@ impl<'t> Pipeline<'t> {
             mem: MemorySpec::standard(),
             l1_line_shift: cons.l1_line_bytes.trailing_zeros(),
             cycle: 0,
-            complete: vec![u64::MAX; csize].into_boxed_slice(),
-            cmask: csize - 1,
+            complete: filled(u64::MAX),
             committed: 0,
             dispatched: 0,
             next_fetch: 0,
             iq_len: 0,
-            pending: vec![0; csize].into_boxed_slice(),
-            ready_at: vec![0; csize].into_boxed_slice(),
-            dep_head: vec![NIL; csize].into_boxed_slice(),
-            dep_next: vec![NIL; 2 * csize].into_boxed_slice(),
-            ready_bits: vec![0; csize.div_ceil(64)].into_boxed_slice(),
+            pending: filled(0),
+            ready_at: filled(0),
+            dep_head: filled(NIL),
+            dep_next: filled(NIL),
+            ready_bits: [0; RING / 64],
             ready_len: 0,
             lsq_occ: 0,
             phys_used: 0,
@@ -447,17 +453,18 @@ impl<'t> Pipeline<'t> {
             unresolved_len: 0,
             fu_busy: [[0; MAX_FU]; 4],
             fu_len,
-            wb_tag: vec![0; WB_RING].into_boxed_slice(),
-            wb_used: vec![0; WB_RING].into_boxed_slice(),
+            exec: exec_table(cons),
+            wb_tag: filled(0),
+            wb_used: filled(0),
             l2_free_at: 0,
             mem_free_at: 0,
             l2_capture: None,
             intruder: None,
             corun_hooks: false,
             wb_ticks: 0,
-            wheel_head: vec![0; WAKE_WHEEL].into_boxed_slice(),
-            wake_next: vec![NIL; csize].into_boxed_slice(),
-            wheel_bits: vec![0; WAKE_WHEEL / 64].into_boxed_slice(),
+            wheel_head: filled(0),
+            wake_next: filled(NIL),
+            wheel_bits: filled(0),
             wheel_overflow: Vec::with_capacity(16),
             checker: sanitize.then(InvariantChecker::new),
             check_fail,
@@ -499,7 +506,7 @@ impl<'t> Pipeline<'t> {
         let oldest = (self.committed..self.dispatched)
             .find(|&i| self.completion(i) == u64::MAX)
             .map(|idx| {
-                let s = idx & self.cmask;
+                let s = idx & (RING - 1);
                 let in_ready_set = self.ready_bits[s >> 6] & (1 << (s & 63)) != 0;
                 (idx, self.pending[s], in_ready_set, self.ready_at[s])
             });
@@ -516,7 +523,7 @@ impl<'t> Pipeline<'t> {
     /// Completion cycle of in-flight position `idx` (ring lookup).
     #[inline]
     fn completion(&self, idx: usize) -> u64 {
-        self.complete[idx & self.cmask]
+        self.complete[idx & (RING - 1)]
     }
 
     /// Whether the branch at trace position `b` has resolved: committed, or
@@ -530,7 +537,7 @@ impl<'t> Pipeline<'t> {
     /// Adds the entry at ring slot `s` to the ready set.
     #[inline]
     fn set_ready(&mut self, s: usize) {
-        self.ready_bits[s >> 6] |= 1 << (s & 63);
+        self.ready_bits[(s & (RING - 1)) >> 6] |= 1 << (s & 63);
         self.ready_len += 1;
     }
 
@@ -551,7 +558,7 @@ impl<'t> Pipeline<'t> {
         let slot = (t as usize) & (WAKE_WHEEL - 1);
         let bit = 1u64 << (slot & 63);
         let word = &mut self.wheel_bits[slot >> 6];
-        self.wake_next[s] = if *word & bit != 0 {
+        self.wake_next[s & (RING - 1)] = if *word & bit != 0 {
             self.wheel_head[slot]
         } else {
             NIL
@@ -689,6 +696,8 @@ impl<'t> Pipeline<'t> {
 
     /// Steps one cycle — commit, issue, dispatch, fetch — then runs the
     /// observer and sanitizer hooks. Returns the instructions committed.
+    /// It and every stage it reaches are inlined whole into the run loop.
+    #[inline(always)]
     fn step<O: SimObs>(&mut self, obs: &mut O) -> Result<u32, CheckError> {
         self.cycle += 1;
         self.counters.cycles += 1;
@@ -825,7 +834,7 @@ impl<'t> Pipeline<'t> {
         // Nothing may be left in the ready set, on a dependant list or on
         // the wakeup wheel.
         let dep_lists = self.dep_head.iter().filter(|&&h| h != NIL).count();
-        let wheel = popcount(&self.wheel_bits) + self.wheel_overflow.len();
+        let wheel = popcount(&*self.wheel_bits) + self.wheel_overflow.len();
         check::reconcile("ready-set-drained", popcount(&self.ready_bits) as u64, 0)?;
         check::reconcile("dependant-lists-drained", dep_lists as u64, 0)?;
         check::reconcile("wheel-drained", wheel as u64, 0)?;
@@ -914,6 +923,7 @@ impl<'t> Pipeline<'t> {
     /// Skipped cycles therefore mutate no state — every counter, cache,
     /// predictor and queue is bit-identical to stepping one by one; only
     /// the clock advances, by the same amount either way.
+    #[inline(always)]
     fn idle_skip(&self) -> u64 {
         if self.ready_len > 0 {
             return 0;
@@ -994,8 +1004,10 @@ impl<'t> Pipeline<'t> {
     // ------------------------------------------------------------------
     // Commit
     // ------------------------------------------------------------------
+    /// Retires up to `width` completed instructions; frees their entries once.
+    #[inline(always)]
     fn commit(&mut self) -> u32 {
-        let mut n = 0;
+        let (mut n, mut mems, mut dests) = (0, 0, 0);
         while n < self.cfg.width {
             if self.committed >= self.dispatched {
                 break; // ROB empty
@@ -1014,22 +1026,21 @@ impl<'t> Pipeline<'t> {
                 }
             }
             let m = self.metas[idx];
-            if m & meta::IS_MEM != 0 {
-                self.lsq_occ -= 1;
-            }
-            if m & meta::HAS_DEST != 0 {
-                self.phys_used -= 1;
-            }
-            self.counters.rob_reads += 1;
+            mems += (m & meta::IS_MEM != 0) as u32;
+            dests += (m & meta::HAS_DEST != 0) as u32;
             self.committed += 1;
             n += 1;
         }
+        self.lsq_occ -= mems;
+        self.phys_used -= dests;
+        self.counters.rob_reads += n as u64;
         n
     }
 
     // ------------------------------------------------------------------
     // Issue
     // ------------------------------------------------------------------
+    #[inline(always)]
     fn issue<O: SimObs>(&mut self) {
         let cycle = self.cycle;
         if !self.wheel_overflow.is_empty() {
@@ -1068,38 +1079,34 @@ impl<'t> Pipeline<'t> {
         let mut issued = 0u32;
         let mut reads_used = 0u32;
         let mut mem_ports_used = 0u32;
-        let start = self.committed & self.cmask;
-        let words = self.ready_bits.len();
+        const WORDS: usize = RING / 64;
+        let start = self.committed & (RING - 1);
         let (first, off) = (start >> 6, start & 63);
         let mut unvisited = self.ready_len;
-        'select: for k in 0..=words {
+        'select: for k in 0..=WORDS {
             if unvisited == 0 {
                 break;
             }
-            let w = if first + k < words {
-                first + k
-            } else {
-                first + k - words
-            };
+            let w = (first + k) & (WORDS - 1);
             let mut bits = self.ready_bits[w];
             if k == 0 {
                 bits &= !0 << off;
-            } else if k == words {
+            } else if k == WORDS {
                 bits &= !(!0 << off);
             }
             while bits != 0 {
                 let s = (w << 6) | bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 unvisited -= 1;
-                let idx = self.committed + (s.wrapping_sub(start) & self.cmask);
+                let idx = self.committed + (s.wrapping_sub(start) & (RING - 1));
 
                 // Register-file read ports.
-                let nsrc = (self.src1[idx] > 0) as u32 + (self.src2[idx] > 0) as u32;
+                let m = self.metas[idx];
+                let nsrc = meta::sources(m);
                 if reads_used + nsrc > self.cfg.rf_read {
                     continue;
                 }
                 // Cache ports for memory operations.
-                let m = self.metas[idx];
                 if m & meta::IS_MEM != 0 && mem_ports_used >= self.cons.mem_ports {
                     continue;
                 }
@@ -1112,7 +1119,7 @@ impl<'t> Pipeline<'t> {
                 };
 
                 // --- the instruction issues ---
-                let (exec_done, unit_busy_until) = self.execute_latency(self.kinds[idx], idx);
+                let (exec_done, unit_busy_until) = self.execute_latency(m, idx);
                 self.fu_busy[class][unit] = unit_busy_until;
                 reads_used += nsrc;
                 self.counters.rf_reads += nsrc as u64;
@@ -1165,11 +1172,12 @@ impl<'t> Pipeline<'t> {
     /// just issued with result at `done`: each consumer operand's ready
     /// time rises to `done`, and a consumer whose last pending producer
     /// this was is scheduled at its now-final ready time.
+    #[inline(always)]
     fn wake_dependants(&mut self, p: usize, done: u64) {
-        let mut link = std::mem::replace(&mut self.dep_head[p], NIL);
+        let mut link = std::mem::replace(&mut self.dep_head[p & (RING - 1)], NIL);
         while link != NIL {
-            let c = (link >> 1) as usize;
-            link = self.dep_next[link as usize];
+            let c = (link >> 1) as usize & (RING - 1);
+            link = self.dep_next[link as usize & (2 * RING - 1)];
             let ready_at = self.ready_at[c].max(done);
             self.ready_at[c] = ready_at;
             self.pending[c] -= 1;
@@ -1180,34 +1188,23 @@ impl<'t> Pipeline<'t> {
     }
 
     /// Returns `(result_ready_cycle, fu_busy_until)` for the instruction
-    /// at trace position `idx` issuing this cycle.
-    fn execute_latency(&mut self, kind: InstrKind, idx: usize) -> (u64, u64) {
+    /// at trace position `idx`, with decode byte `m`, issuing this cycle.
+    #[inline(always)]
+    fn execute_latency(&mut self, m: u8, idx: usize) -> (u64, u64) {
         let c = self.cycle;
-        match kind {
-            InstrKind::IntAlu | InstrKind::Branch => (c + self.cons.int_alu_latency as u64, c + 1),
-            InstrKind::IntMul => (c + self.cons.int_mul_latency as u64, c + 1),
-            InstrKind::IntDiv => {
-                let l = self.cons.int_div_latency as u64;
-                (c + l, c + l) // non-pipelined
-            }
-            InstrKind::FpAlu => (c + self.cons.fp_alu_latency as u64, c + 1),
-            InstrKind::FpMul => (c + self.cons.fp_mul_latency as u64, c + 1),
-            InstrKind::FpDiv => {
-                let l = self.cons.fp_div_latency as u64;
-                (c + l, c + l) // non-pipelined
-            }
-            InstrKind::Load => {
-                let ready = self.data_access(self.addrs[idx], c);
-                (ready, c + 1)
-            }
-            InstrKind::Store => {
-                // The store writes its buffer entry in one cycle; the cache
-                // update (and any miss traffic) happens off the critical
-                // path but still consumes hierarchy bandwidth and energy.
-                let _ = self.data_access(self.addrs[idx], c);
-                (c + 1, c + 1)
+        let (latency, occupancy) = self.exec[self.kinds[idx] as usize];
+        let mut done = c + latency;
+        if m & meta::IS_MEM != 0 {
+            // A store writes its buffer entry in one cycle; the cache
+            // update (and any miss traffic) happens off the critical path
+            // but still consumes hierarchy bandwidth and energy. A load's
+            // result is its data.
+            let ready = self.data_access(self.addrs[idx], c);
+            if m & meta::HAS_DEST != 0 {
+                done = ready;
             }
         }
+        (done, c + occupancy)
     }
 
     /// Performs a data access through D-L1 → L2 → memory, returning the
@@ -1224,16 +1221,17 @@ impl<'t> Pipeline<'t> {
 
     /// L2 access (shared by I- and D-side), returning data-ready cycle.
     fn l2_access(&mut self, addr: u64, at: u64) -> u64 {
-        // Capture/co-run hooks live in the outlined variant so the solo
-        // hot path pays exactly one always-false predictable branch.
-        if self.corun_hooks {
-            return self.l2_access_hooked(addr, at);
-        }
         self.counters.l2_accesses += 1;
         let start = at.max(self.l2_free_at);
         self.l2_free_at = start + 2; // L2 accepts a new access every 2 cycles
         let l2_done = start + self.l2_lat;
-        if self.l2.access(addr) == CacheOutcome::Hit {
+        let hit = self.l2.access(addr) == CacheOutcome::Hit;
+        // The capture/co-run hooks are outlined, so the solo hot path
+        // pays exactly one always-false predictable branch.
+        if self.corun_hooks {
+            self.corun_l2_hooks(addr, l2_done);
+        }
+        if hit {
             return l2_done;
         }
         self.counters.memory_accesses += 1;
@@ -1242,23 +1240,18 @@ impl<'t> Pipeline<'t> {
         mstart + self.mem.latency as u64
     }
 
-    /// [`Pipeline::l2_access`] with the stream-capture and intruder
-    /// hooks live — only reached when one of them is armed.
+    /// The stream-capture and intruder hooks of an own L2 access to
+    /// `addr` done at `l2_done` — only reached when one of them is armed.
     #[cold]
     #[inline(never)]
-    fn l2_access_hooked(&mut self, addr: u64, at: u64) -> u64 {
-        self.counters.l2_accesses += 1;
+    fn corun_l2_hooks(&mut self, addr: u64, l2_done: u64) {
         if let Some(cap) = self.l2_capture.as_mut() {
             cap.push(addr);
         }
-        let start = at.max(self.l2_free_at);
-        self.l2_free_at = start + 2; // L2 accepts a new access every 2 cycles
-        let l2_done = start + self.l2_lat;
-        let hit = self.l2.access(addr) == CacheOutcome::Hit;
         // Round-robin co-runner: one intruder access follows each own
         // access, taking the next L2 slot and — on a miss — a memory
-        // slot ahead of any own miss below, so the own lane feels both
-        // port and bus contention as well as capacity pollution.
+        // slot ahead of any own miss, so the own lane feels both port
+        // and bus contention as well as capacity pollution.
         if let Some(intr) = self.intruder.as_mut() {
             let ia = intr.addrs[intr.pos];
             intr.pos += 1;
@@ -1272,13 +1265,6 @@ impl<'t> Pipeline<'t> {
                 self.mem_free_at = self.mem_free_at.max(l2_done) + self.mem.occupancy as u64;
             }
         }
-        if hit {
-            return l2_done;
-        }
-        self.counters.memory_accesses += 1;
-        let mstart = l2_done.max(self.mem_free_at);
-        self.mem_free_at = mstart + self.mem.occupancy as u64;
-        mstart + self.mem.latency as u64
     }
 
     /// The lane's own L2 statistics — total minus intruder, so co-run
@@ -1291,6 +1277,7 @@ impl<'t> Pipeline<'t> {
     }
 
     /// Reserves a register-file write port at or after `at`.
+    #[inline(always)]
     fn reserve_wb(&mut self, at: u64) -> u64 {
         let ports = self.cfg.rf_write;
         let mut t = at;
@@ -1322,6 +1309,7 @@ impl<'t> Pipeline<'t> {
     // ------------------------------------------------------------------
     // Dispatch (rename)
     // ------------------------------------------------------------------
+    #[inline(always)]
     fn dispatch(&mut self) {
         let rob_cap = self.cfg.rob as usize;
         let iq_cap = self.cfg.iq as usize;
@@ -1361,8 +1349,9 @@ impl<'t> Pipeline<'t> {
     /// the select structures: it links under each unissued producer and
     /// takes the latest completion of the issued ones as its ready time.
     /// With no producer pending it is scheduled at once.
+    #[inline(always)]
     fn link_operands(&mut self, idx: usize) {
-        let s = idx & self.cmask;
+        let s = idx & (RING - 1);
         let mut pending = 0u8;
         let mut ready_at = 0u64;
         for (operand, d) in [self.src1[idx], self.src2[idx]].into_iter().enumerate() {
@@ -1373,7 +1362,7 @@ impl<'t> Pipeline<'t> {
             if p < self.committed {
                 continue;
             }
-            let ps = p & self.cmask;
+            let ps = p & (RING - 1);
             let done = self.complete[ps];
             if done == u64::MAX {
                 let link = ((s << 1) | operand) as u32;
@@ -1398,6 +1387,7 @@ impl<'t> Pipeline<'t> {
     // ------------------------------------------------------------------
     // Fetch
     // ------------------------------------------------------------------
+    #[inline(always)]
     fn fetch(&mut self) {
         // A mispredicted branch blocks fetch until it resolves, then the
         // front end refills.
@@ -1453,7 +1443,7 @@ impl<'t> Pipeline<'t> {
                     return; // in-flight branch limit
                 }
             }
-            self.complete[idx & self.cmask] = u64::MAX;
+            self.complete[idx & (RING - 1)] = u64::MAX;
             self.counters.fetched += 1;
             self.next_fetch += 1;
             fetched += 1;
@@ -1490,6 +1480,33 @@ impl<'t> Pipeline<'t> {
             }
         }
     }
+}
+
+/// Positions `[committed, next_fetch)` may span: ROB, fetch queue, slack.
+fn window(rob: usize, width: usize) -> usize {
+    rob + (FETCH_QUEUE_WIDTHS + 2) * width
+}
+
+/// A boxed `[T; N]` of `v`; a zero `v` takes the zeroed-allocation path.
+fn filled<T: Clone, const N: usize>(v: T) -> Box<[T; N]> {
+    vec![v; N]
+        .into_boxed_slice()
+        .try_into()
+        .unwrap_or_else(|_| unreachable!())
+}
+
+/// `(result latency, unit occupancy)` per [`InstrKind`] in discriminant
+/// order: divides are not pipelined, and a load's result waits on its data.
+fn exec_table(c: &ConstantParams) -> [(u64, u64); 9] {
+    InstrKind::ALL.map(|kind| match kind {
+        InstrKind::IntAlu | InstrKind::Branch => (c.int_alu_latency as u64, 1),
+        InstrKind::IntMul => (c.int_mul_latency as u64, 1),
+        InstrKind::IntDiv => (c.int_div_latency as u64, c.int_div_latency as u64),
+        InstrKind::FpAlu => (c.fp_alu_latency as u64, 1),
+        InstrKind::FpMul => (c.fp_mul_latency as u64, 1),
+        InstrKind::FpDiv => (c.fp_div_latency as u64, c.fp_div_latency as u64),
+        InstrKind::Load | InstrKind::Store => (1, 1),
+    })
 }
 
 /// Set bits across a bitset's words.
@@ -1592,7 +1609,7 @@ mod tests {
                 }
             }
             for (x, i) in t[dispatched..p.dispatched].iter_mut().zip(dispatched..) {
-                let s = i & p.cmask;
+                let s = i & (RING - 1);
                 (x.dispatch, x.pending, x.ready_at) = (p.cycle, p.pending[s], p.ready_at[s]);
             }
         }
@@ -1750,6 +1767,18 @@ mod tests {
         }
     }
 
+    /// The `sweep` benchmark programs: cache-resident and beyond-L2.
+    const SWEEP_PROGRAMS: [&str; 8] = [
+        "gzip", "crafty", "sha", "bitcount", "mcf", "art", "swim", "equake",
+    ];
+
+    /// The trace of built-in program `name`, `len` instructions long.
+    fn built_in_trace(name: &str, len: usize) -> Trace {
+        let all = dse_workload::suites::all_benchmarks();
+        let profile = all.iter().find(|p| p.name == name).unwrap();
+        dse_workload::TraceGenerator::new(profile).generate(len)
+    }
+
     #[test]
     fn idle_skip_matches_every_cycle_stepping_on_built_in_programs() {
         // Debug builds check short traces of a beyond-L2, a streaming FP
@@ -1758,21 +1787,13 @@ mod tests {
         let (names, len, warmup): (&[&str], usize, usize) = if cfg!(debug_assertions) {
             (&["mcf", "art", "gzip"], 3_000, 500)
         } else {
-            (
-                &[
-                    "gzip", "crafty", "sha", "bitcount", "mcf", "art", "swim", "equake",
-                ],
-                30_000,
-                5_000,
-            )
+            (&SWEEP_PROGRAMS, 30_000, 5_000)
         };
         let mut rng = dse_rng::Xoshiro256::seed_from(0x5EED);
         let mut configs = vec![Config::baseline()];
         configs.extend(dse_space::sample_legal(&mut rng, 2));
-        let all = dse_workload::suites::all_benchmarks();
         for name in names {
-            let profile = all.iter().find(|p| p.name == *name).unwrap();
-            let trace = dse_workload::TraceGenerator::new(profile).generate(len);
+            let trace = built_in_trace(name, len);
             for cfg in &configs {
                 for max_branches in [8, 16] {
                     let cfg = Config {
@@ -1783,6 +1804,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ring_covers_the_largest_legal_window() {
+        let largest = |p: dse_space::Param| *p.def().values.last().unwrap() as usize;
+        let (rob, width) = (
+            largest(dse_space::Param::Rob),
+            largest(dse_space::Param::Width),
+        );
+        assert_eq!((rob, width), (160, 8), "the grid changed: recheck RING");
+        assert!(window(rob, width) <= RING);
+    }
+
+    #[test]
+    fn largest_legal_window_matches_every_cycle_stepping() {
+        let cfg = Config {
+            width: 8,
+            rob: 160,
+            iq: 80,
+            lsq: 80,
+            rf: 160,
+            rf_read: 16,
+            rf_write: 8,
+            ..Config::baseline()
+        };
+        assert!(cfg.is_legal());
+        let (len, warmup) = if cfg!(debug_assertions) {
+            (3_000, 500)
+        } else {
+            (30_000, 5_000)
+        };
+        let (mut hw_rob, mut hw_fetch_q) = (0, 0);
+        for name in SWEEP_PROGRAMS {
+            let p = skip_matches_stepping(&cfg, &built_in_trace(name, len), warmup);
+            hw_rob = hw_rob.max(p.hw_rob);
+            hw_fetch_q = hw_fetch_q.max(p.hw_fetch_q);
+        }
+        // The whole window was in flight at once on some program.
+        assert_eq!((hw_rob, hw_fetch_q), (160, FETCH_QUEUE_WIDTHS * 8));
+    }
+
+    #[test]
+    fn latency_table_matches_the_kind_match() {
+        // The per-kind `match` the table replaced.
+        fn reference(p: &mut Pipeline<'_>, kind: InstrKind, idx: usize) -> (u64, u64) {
+            let (c, k) = (p.cycle, p.cons);
+            match kind {
+                InstrKind::IntAlu | InstrKind::Branch => (c + k.int_alu_latency as u64, c + 1),
+                InstrKind::IntMul => (c + k.int_mul_latency as u64, c + 1),
+                InstrKind::IntDiv => (c + k.int_div_latency as u64, c + k.int_div_latency as u64),
+                InstrKind::FpAlu => (c + k.fp_alu_latency as u64, c + 1),
+                InstrKind::FpMul => (c + k.fp_mul_latency as u64, c + 1),
+                InstrKind::FpDiv => (c + k.fp_div_latency as u64, c + k.fp_div_latency as u64),
+                InstrKind::Load => (p.data_access(p.addrs[idx], c), c + 1),
+                InstrKind::Store => {
+                    let _ = p.data_access(p.addrs[idx], c);
+                    (c + 1, c + 1)
+                }
+            }
+        }
+        let trace = mk_trace(
+            (0..)
+                .zip(InstrKind::ALL)
+                .map(|(i, kind)| op(i, kind, 0, 0))
+                .collect(),
+        );
+        let (cfg, cons) = (Config::baseline(), ConstantParams::standard());
+        let opts = SimOptions::with_warmup(0);
+        let mut table = Pipeline::new(&cfg, &cons, &trace, opts);
+        let mut matched = Pipeline::new(&cfg, &cons, &trace, opts);
+        // Cold caches first (memory latency), then warm ones (L1 hits).
+        for cycle in [1, 10_000] {
+            (table.cycle, matched.cycle) = (cycle, cycle);
+            for (idx, kind) in InstrKind::ALL.into_iter().enumerate() {
+                assert_eq!(
+                    table.execute_latency(trace.metas()[idx], idx),
+                    reference(&mut matched, kind, idx),
+                    "{kind:?} at cycle {cycle}"
+                );
+            }
+        }
+        assert_eq!(table.counters, matched.counters);
     }
 
     fn wide() -> Config {

@@ -74,7 +74,7 @@ impl InstrKind {
 /// simulator's hot loop reads one byte instead of matching on
 /// [`InstrKind`] repeatedly. See [`meta`] for the bit layout.
 pub mod meta {
-    use super::InstrKind;
+    use super::{Instr, InstrKind};
 
     /// Bits 0–1: functional-unit class ([`InstrKind::fu_class`]).
     pub const FU_MASK: u8 = 0b11;
@@ -84,10 +84,21 @@ pub mod meta {
     pub const HAS_DEST: u8 = 1 << 3;
     /// Bit 4: conditional branch.
     pub const IS_BRANCH: u8 = 1 << 4;
+    /// Bits 5–6: source operands with a register dependency, 0–2.
+    pub const SOURCES_SHIFT: u32 = 5;
 
-    /// Packs the decode byte for one instruction kind.
-    pub fn pack(kind: InstrKind) -> u8 {
+    /// The source-operand count a decode byte carries.
+    #[inline]
+    pub fn sources(m: u8) -> u32 {
+        (m >> SOURCES_SHIFT) as u32 & 0b11
+    }
+
+    /// Packs the decode byte for one instruction.
+    pub fn pack(ins: &Instr) -> u8 {
+        let kind = ins.kind;
+        let sources = (ins.src1 > 0) as u8 + (ins.src2 > 0) as u8;
         (kind.fu_class() as u8)
+            | sources << SOURCES_SHIFT
             | if kind.is_mem() { IS_MEM } else { 0 }
             | if kind.has_dest() { HAS_DEST } else { 0 }
             | if kind == InstrKind::Branch {
@@ -175,7 +186,7 @@ impl Trace {
         self.addrs.push(ins.addr);
         self.takens.push(ins.taken);
         self.targets.push(ins.target);
-        self.metas.push(meta::pack(ins.kind));
+        self.metas.push(meta::pack(&ins));
     }
 
     /// Number of instructions.
@@ -647,6 +658,17 @@ mod tests {
 
     fn profile() -> Profile {
         Profile::template("test", Suite::SpecCpu2000, 42)
+    }
+
+    #[test]
+    fn decode_byte_carries_the_source_count_of_every_built_in_program() {
+        for p in crate::suites::all_benchmarks() {
+            let t = TraceGenerator::new(&p).generate(4_000);
+            for (i, &m) in t.metas().iter().enumerate() {
+                let want = (t.src1s()[i] > 0) as u32 + (t.src2s()[i] > 0) as u32;
+                assert_eq!(meta::sources(m), want, "{} instruction {i}", p.name);
+            }
+        }
     }
 
     #[test]

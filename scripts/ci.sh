@@ -52,10 +52,12 @@ ARCHDSE_SANITIZE=1 cargo test -q --offline -p dse-sim
 
 # The idle skip against every-cycle stepping, bit for bit: the debug pass
 # above checks short traces; a release build checks the full-length
-# (30k-instruction) traces of all eight `sweep` programs, sanitized.
+# (30k-instruction) traces of all eight `sweep` programs, sanitized, on
+# sampled configs and on the largest legal in-flight window.
 echo "== ARCHDSE_SANITIZE=1 idle skip vs stepping, full-length sweep traces =="
-ARCHDSE_SANITIZE=1 cargo test -q --release --offline -p dse-sim --lib \
-  idle_skip_matches_every_cycle_stepping_on_built_in_programs
+ARCHDSE_SANITIZE=1 cargo test -q --release --offline -p dse-sim --lib -- \
+  idle_skip_matches_every_cycle_stepping_on_built_in_programs \
+  largest_legal_window_matches_every_cycle_stepping
 
 # The JSON layer (reader, tree, writer), the design space (config
 # field table and legal-value check) and the observability layer
@@ -103,12 +105,15 @@ else
     2>"$OBS_DIR/report.err"
   [ ! -s "$OBS_DIR/report.err" ] || { echo "obs report rejected span log lines"; cat "$OBS_DIR/report.err"; exit 1; }
 
-  # Stage profiler smoke: the per-stage host-time attribution must emit
-  # its machine-readable line. (Output goes to a file first — the CLI
-  # binaries die on SIGPIPE, so never pipe their stdout into grep -q.)
-  echo "== obs smoke: simulate --profile-stages =="
-  cargo run --release --offline -q -- simulate gzip --profile-stages \
+  # Profiler smoke: one pass must print the stall report and the
+  # per-stage host-time attribution with its machine-readable line.
+  # (Output goes to a file first — the CLI binaries die on SIGPIPE, so
+  # never pipe their stdout into grep -q.)
+  echo "== obs smoke: simulate --profile --profile-stages =="
+  cargo run --release --offline -q -- simulate gzip --profile --profile-stages \
     >"$OBS_DIR/stages.txt"
+  grep -q "^commit:   progress" "$OBS_DIR/stages.txt" \
+    || { echo "stall report missing"; cat "$OBS_DIR/stages.txt"; exit 1; }
   grep -q "stageprof-json:" "$OBS_DIR/stages.txt" \
     || { echo "stage profile missing machine-readable line"; cat "$OBS_DIR/stages.txt"; exit 1; }
   grep -q '"issue"' "$OBS_DIR/stages.txt" \

@@ -23,6 +23,7 @@ use archdse::prelude::*;
 use archdse::serve::{
     protocol, save_artifacts, Client, ModelRegistry, RegistryPredictor, Server, ServerConfig,
 };
+use archdse::sim::{CheckError, RunRecord, StageProf, StallProfile};
 use dse_space::raw_space_size;
 use dse_util::json::{FromJson, Json, ToJson};
 
@@ -34,7 +35,8 @@ commands:
   simulate <bench> [--sanitize] [--profile] [--profile-stages] [--corun <bench2>] [--workloads <dir>] [k=v...]
                                           run one benchmark on one config
                                           (--profile: stall attribution;
-                                           --profile-stages: host-time per stage;
+                                           --profile-stages: host-time per stage,
+                                           in the same pass as --profile;
                                            --corun: share the L2 with <bench2>)
   workload list [--workloads <dir>]       catalog: built-ins + imported workloads
   workload export <name> [--workloads <dir>]
@@ -291,37 +293,14 @@ fn cmd_simulate(args: &[String]) -> i32 {
         }
         return simulate_corun_cli(&cfg, &profile, &other, workloads.as_deref(), sanitize);
     }
-    if profile_stages {
-        if profile_run {
-            eprintln!("--profile and --profile-stages are separate runs; pick one");
-            return 2;
-        }
-        return simulate_stages_cli(&cfg, bench, &profile, sanitize);
-    }
-    let trace = TraceGenerator::new(&profile).generate(60_000);
-    let options = SimOptions {
-        sanitize,
-        ..SimOptions::with_warmup(15_000)
-    };
-    let pipeline = archdse::sim::Pipeline::new(
-        &cfg,
-        &dse_space::ConstantParams::standard(),
-        &trace,
-        options,
-    );
-    let mut stall = archdse::sim::StallProfile::default();
-    let rec = if profile_run {
-        pipeline.try_run_full_obs(&mut stall)
-    } else {
-        pipeline.try_run_full()
-    };
-    let rec = match rec {
-        Ok(rec) => rec,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
+    let (rec, stall, stages) =
+        match simulate_observed(&cfg, &profile, sanitize, profile_run, profile_stages) {
+            Ok(run) => run,
+            Err(e) => {
+                eprintln!("{e}");
+                return 1;
+            }
+        };
     let r = rec.result;
     let m = archdse::sim::Metrics::from_result(&r);
     println!("benchmark : {bench}");
@@ -337,51 +316,48 @@ fn cmd_simulate(args: &[String]) -> i32 {
     println!("cycles    : {:.4e} /10M-instr phase", m.cycles);
     println!("energy    : {:.4e} nJ", m.energy);
     println!("ED / EDD  : {:.4e} / {:.4e}", m.ed, m.edd);
-    if profile_run {
+    if let Some(profile) = stall {
         let report = archdse::sim::StallReport {
-            profile: stall,
+            profile,
             record: rec,
         };
         println!();
         println!("{}", report.pretty());
     }
+    if let Some(prof) = stages {
+        println!();
+        println!("{}", prof.pretty());
+        println!();
+        println!("stageprof-json: {}", prof.to_json());
+    }
     0
 }
 
-/// `simulate <bench> --profile-stages`: attributes stepped-cycle host
-/// time to the five pipeline stages.
-fn simulate_stages_cli(
-    cfg: &dse_space::Config,
-    bench: &str,
-    profile: &dse_workload::Profile,
+/// One `simulate` pass of `profile` on `cfg`, observed by the stall
+/// profiler (`--profile`), the stage timer (`--profile-stages`), both
+/// at once, or neither; returns the run and the profiles asked for.
+fn simulate_observed(
+    cfg: &Config,
+    profile: &Profile,
     sanitize: bool,
-) -> i32 {
-    use archdse::sim::{Metrics, StageProf};
+    stall: bool,
+    stages: bool,
+) -> Result<(RunRecord, Option<StallProfile>, Option<StageProf>), CheckError> {
     let trace = TraceGenerator::new(profile).generate(60_000);
-    let options = archdse::sim::SimOptions {
+    let options = SimOptions {
         sanitize,
-        ..archdse::sim::SimOptions::with_warmup(15_000)
+        ..SimOptions::with_warmup(15_000)
     };
-    let mut prof = StageProf::default();
     let pipeline =
         archdse::sim::Pipeline::new(cfg, &dse_space::ConstantParams::standard(), &trace, options);
-    let record = match pipeline.try_run_full_obs(&mut prof) {
-        Ok(rec) => rec,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
-    let m = Metrics::from_result(&record.result);
-    println!("benchmark : {bench}");
-    println!("config    : {cfg}");
-    println!("IPC       : {:.3}", record.result.ipc);
-    println!("cycles    : {:.4e} /10M-instr phase", m.cycles);
-    println!();
-    println!("{}", prof.pretty());
-    println!();
-    println!("stageprof-json: {}", prof.to_json());
-    0
+    let mut obs = (StallProfile::default(), StageProf::default());
+    let rec = match (stall, stages) {
+        (false, false) => pipeline.try_run_full(),
+        (true, false) => pipeline.try_run_full_obs(&mut obs.0),
+        (false, true) => pipeline.try_run_full_obs(&mut obs.1),
+        (true, true) => pipeline.try_run_full_obs(&mut obs),
+    }?;
+    Ok((rec, stall.then_some(obs.0), stages.then_some(obs.1)))
 }
 
 /// `simulate A --corun B`: runs the two-pass shared-L2 interference
@@ -1547,6 +1523,34 @@ fn client_predict(client: &mut Client, args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_pass_with_both_profilers_matches_a_plain_run_bit_for_bit() {
+        let gzip = find_profile_in("gzip", None).unwrap();
+        let cfg = Config::baseline();
+        let (plain, None, None) = simulate_observed(&cfg, &gzip, false, false, false).unwrap()
+        else {
+            panic!("a plain run returns no profile");
+        };
+        let (both, Some(stall), Some(stages)) =
+            simulate_observed(&cfg, &gzip, false, true, true).unwrap()
+        else {
+            panic!("--profile --profile-stages returns both profiles");
+        };
+        let bits = |m: archdse::sim::Metrics| [m.cycles, m.energy, m.ed, m.edd].map(f64::to_bits);
+        assert_eq!(
+            bits(archdse::sim::Metrics::from_result(&plain.result)),
+            bits(archdse::sim::Metrics::from_result(&both.result))
+        );
+        assert_eq!(plain.counters, both.counters);
+        // One pass: both observers saw the same cycles.
+        assert_eq!(
+            stall.total_cycles(),
+            stages.cycles_stepped + stages.cycles_idle
+        );
+        assert_eq!(stall.cycles_stepped, stages.cycles_stepped);
+        assert!(stages.total_ticks() > 0);
+    }
 
     #[test]
     fn parse_config_applies_overrides() {
