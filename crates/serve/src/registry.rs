@@ -175,7 +175,8 @@ pub struct FitSummary {
 
 struct Inner {
     models: HashMap<Metric, Arc<MetricArtifact>>,
-    fitted: HashMap<(String, Metric), Arc<LinearRegression>>,
+    /// Combiners by metric, then program, so a lookup borrows the name.
+    fitted: HashMap<Metric, HashMap<String, Arc<LinearRegression>>>,
 }
 
 /// Thread-safe registry of loaded artifacts and online-fitted programs.
@@ -187,10 +188,11 @@ pub struct ModelRegistry {
 impl std::fmt::Debug for ModelRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.read().unwrap();
+        let fitted: usize = inner.fitted.values().map(HashMap::len).sum();
         f.debug_struct("ModelRegistry")
             .field("dir", &self.dir)
             .field("models", &inner.models.len())
-            .field("fitted", &inner.fitted.len())
+            .field("fitted", &fitted)
             .finish()
     }
 }
@@ -303,7 +305,9 @@ impl ModelRegistry {
     /// `(program, metric)` pairs that have been fitted online.
     pub fn fitted(&self) -> Vec<(String, Metric)> {
         let inner = self.inner.read().unwrap();
-        let mut out: Vec<_> = inner.fitted.keys().cloned().collect();
+        let mut out: Vec<_> = (inner.fitted.iter())
+            .flat_map(|(&m, programs)| programs.keys().map(move |p| (p.clone(), m)))
+            .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.to_string().cmp(&b.1.to_string())));
         out
     }
@@ -372,7 +376,9 @@ impl ModelRegistry {
             .write()
             .unwrap()
             .fitted
-            .insert((program.to_string(), metric), Arc::new(reg));
+            .entry(metric)
+            .or_default()
+            .insert(program.to_string(), Arc::new(reg));
         Ok(summary)
     }
 
@@ -391,7 +397,8 @@ impl ModelRegistry {
             .ok_or(RegistryError::UnknownMetric(metric))?;
         let reg = inner
             .fitted
-            .get(&(program.to_string(), metric))
+            .get(&metric)
+            .and_then(|programs| programs.get(program))
             .cloned()
             .ok_or_else(|| RegistryError::NotFitted {
                 program: program.to_string(),

@@ -16,7 +16,7 @@
 //! idle connections, let in-flight requests finish with
 //! `Connection: close`, and drain. [`Server::wait`] joins everything.
 
-use crate::cache::{CacheKey, PredictionCache};
+use crate::cache::PredictionCache;
 use crate::decode::{self, Target};
 use crate::eventloop::{Reactor, ReactorShared};
 use crate::http::{Request, Response};
@@ -26,7 +26,6 @@ use crate::telemetry::{Phase, PhaseClock, Telemetry};
 use dse_explore::{Command, Constraints, ExploreBudget, Explorer, Objective, SimOracle};
 use dse_ingest::{IngestError, WorkloadStore};
 use dse_sim::Metric;
-use dse_space::Config;
 use dse_util::json::{FromJson, Json, ToJson};
 use dse_util::WorkerPool;
 use std::io;
@@ -499,19 +498,6 @@ fn parse_body(req: &Request) -> Result<Json, Response> {
     Json::parse(body_text(req)?).map_err(|e| Response::error(400, &format!("body: {e}")))
 }
 
-fn cache_key(program: &str, metric: Metric, config: &Config) -> CacheKey {
-    let indices = config.to_indices();
-    let mut encoded = [0u64; 13];
-    for (slot, &idx) in encoded.iter_mut().zip(indices.iter()) {
-        *slot = idx as u64;
-    }
-    CacheKey {
-        program: program.to_string(),
-        metric,
-        config: encoded,
-    }
-}
-
 fn predict(state: &State, req: &Request) -> Response {
     let mut clock = PhaseClock::start();
     let decoded = body_text(req).and_then(|text| decode::single(text).map_err(|r| r.response()));
@@ -524,8 +510,9 @@ fn predict(state: &State, req: &Request) -> Response {
         Err(resp) => return resp,
     };
     clock.charge(Phase::Decode);
-    let key = cache_key(&program, metric, &config);
-    let hit = state.cache.get(&key);
+    let key = config.to_indices().map(|i| i as u64);
+    let mut prefix = state.cache.prefix(&program, metric);
+    let hit = state.cache.get_in(&prefix, &key);
     clock.charge(Phase::Cache);
     let (value, cached) = match hit {
         Some(v) => {
@@ -538,7 +525,7 @@ fn predict(state: &State, req: &Request) -> Response {
                 Ok(v) => {
                     dse_obs::flight::event("registry.predict", format!("{program} {metric}"));
                     clock.charge(Phase::Forward);
-                    state.cache.insert(key, v);
+                    state.cache.insert_in(&mut prefix, &key, v);
                     clock.charge(Phase::Cache);
                     (v, false)
                 }
@@ -576,6 +563,10 @@ fn predict_batch(state: &State, req: &Request) -> Response {
         return Response::error(422, "configs must not be empty");
     }
     clock.charge(Phase::Decode);
+    // Taken before the combiner is read: a refit racing this request
+    // makes the cache drop its inserts rather than keep stale values.
+    let mut prefix = state.cache.prefix(&program, metric);
+    clock.charge(Phase::Cache);
     let (artifact, reg) = match state.registry.predictor(&program, metric) {
         Ok(p) => p,
         Err(e) => return registry_error(&e),
@@ -583,11 +574,14 @@ fn predict_batch(state: &State, req: &Request) -> Response {
     clock.charge(Phase::Forward);
     // Serve cache hits first, then push all misses through one batched
     // matrix-matrix forward (bit-identical per row to the scalar path).
-    let keys: Vec<CacheKey> = configs
+    let keys: Vec<[u64; 13]> = configs
         .iter()
-        .map(|c| cache_key(&program, metric, c))
+        .map(|c| c.to_indices().map(|i| i as u64))
         .collect();
-    let mut values: Vec<Option<f64>> = keys.iter().map(|k| state.cache.get(k)).collect();
+    let mut values: Vec<Option<f64>> = keys
+        .iter()
+        .map(|k| state.cache.get_in(&prefix, k))
+        .collect();
     let missing: Vec<usize> = (0..configs.len())
         .filter(|&i| values[i].is_none())
         .collect();
@@ -603,7 +597,7 @@ fn predict_batch(state: &State, req: &Request) -> Response {
             .predict_with_batch_into(&reg, &flat, missing.len(), &mut computed);
         clock.charge(Phase::Forward);
         for (&i, &v) in missing.iter().zip(computed.iter()) {
-            state.cache.insert(keys[i].clone(), v);
+            state.cache.insert_in(&mut prefix, &keys[i], v);
             values[i] = Some(v);
         }
         clock.charge(Phase::Cache);
