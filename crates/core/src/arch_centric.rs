@@ -499,6 +499,45 @@ mod tests {
     }
 
     #[test]
+    fn outlier_program_has_higher_training_error_than_typical() {
+        // art (trained on none of gzip/parser/crafty/gap's behaviours)
+        // should be harder to express as their combination than gap is:
+        // the §7.2 signal that flags programs unlike the training set.
+        let profiles: Vec<_> = dse_workload::suites::spec2000()
+            .into_iter()
+            .filter(|p| ["gzip", "parser", "crafty", "gap", "art"].contains(&p.name))
+            .collect();
+        let spec = DatasetSpec {
+            n_configs: 60,
+            ..DatasetSpec::tiny()
+        };
+        let ds = SuiteDataset::generate(&profiles, &spec);
+        let train_for = |target: usize| {
+            let rows: Vec<usize> = (0..ds.benchmarks.len()).filter(|&i| i != target).collect();
+            let offline = OfflineModel::train(
+                &ds,
+                &rows,
+                dse_sim::Metric::Cycles,
+                40,
+                &MlpConfig::default(),
+                2,
+            );
+            let idxs: Vec<usize> = (0..16).collect();
+            let vals: Vec<f64> = idxs
+                .iter()
+                .map(|&i| ds.benchmarks[target].metrics[i].cycles)
+                .collect();
+            offline.training_error(&ds, &idxs, &vals)
+        };
+        let e_art = train_for(ds.require_benchmark("art"));
+        let e_gap = train_for(ds.require_benchmark("gap"));
+        assert!(
+            e_art > e_gap,
+            "art training error ({e_art:.1}) should exceed gap's ({e_gap:.1})"
+        );
+    }
+
+    #[test]
     fn training_error_is_finite_and_nonnegative() {
         let ds = small_dataset(4, 40);
         let metric = dse_sim::Metric::Ed;

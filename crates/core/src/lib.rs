@@ -42,11 +42,9 @@
 pub mod analysis;
 pub mod arch_centric;
 pub mod dataset;
-pub mod hybrid;
 pub mod program_specific;
 pub mod xval;
 
 pub use arch_centric::{fit_combiner, ArchCentricPredictor, OfflineModel};
 pub use dataset::{BenchmarkData, DatasetSpec, SuiteDataset};
-pub use hybrid::{HybridChoice, HybridPredictor};
 pub use program_specific::ProgramSpecificPredictor;

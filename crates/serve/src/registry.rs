@@ -44,6 +44,11 @@ pub const ARTIFACT_VERSION: u64 = 1;
 /// Name of the manifest file inside an artifact directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
+/// Most `(program, metric)` pairs a registry keeps fitted at once. A fit
+/// of a new pair beyond it is refused until a reload clears the fits;
+/// refitting a fitted pair always succeeds.
+pub const MAX_FITTED: usize = 4096;
+
 /// Everything needed to serve one metric.
 #[derive(Debug, Clone)]
 pub struct MetricArtifact {
@@ -314,7 +319,8 @@ impl ModelRegistry {
 
     /// Fits `program` for `metric` from `(response index, simulated
     /// value)` pairs — the paper's equation (5), run on the persisted
-    /// design table. Replaces any previous fit of the same pair.
+    /// design table. Replaces any previous fit of the same pair; a new
+    /// pair is refused once [`MAX_FITTED`] pairs are fitted.
     pub fn fit(
         &self,
         program: &str,
@@ -372,13 +378,19 @@ impl ModelRegistry {
             training_rmae,
             responses: responses.len(),
         };
-        self.inner
-            .write()
-            .unwrap()
+        let mut inner = self.inner.write().unwrap();
+        let refit = inner
             .fitted
-            .entry(metric)
-            .or_default()
-            .insert(program.to_string(), Arc::new(reg));
+            .get(&metric)
+            .is_some_and(|programs| programs.contains_key(program));
+        let count: usize = inner.fitted.values().map(HashMap::len).sum();
+        if !refit && count >= MAX_FITTED {
+            return Err(RegistryError::BadRequest(format!(
+                "fit cap of {MAX_FITTED} (program, metric) pairs reached; refit one or reload"
+            )));
+        }
+        let programs = inner.fitted.entry(metric).or_default();
+        programs.insert(program.to_string(), Arc::new(reg));
         Ok(summary)
     }
 
@@ -584,6 +596,34 @@ mod tests {
         assert_eq!(reg.fitted().len(), 1);
         assert_eq!(reg.reload().unwrap(), 1);
         assert!(reg.fitted().is_empty());
+    }
+
+    #[test]
+    fn fits_are_capped_until_reload_but_refits_always_succeed() {
+        let ds = tiny_dataset();
+        let dir = temp_dir("cap");
+        save_artifacts(&dir, &ds, &[Metric::Cycles], 20, &MlpConfig::default(), 1).unwrap();
+        let reg = ModelRegistry::open(&dir).unwrap();
+        let responses: Vec<(usize, f64)> = (0..6)
+            .map(|i| (i, ds.benchmarks[0].metrics[i].get(Metric::Cycles)))
+            .collect();
+        for i in 0..MAX_FITTED {
+            reg.fit(&format!("p{i}"), Metric::Cycles, &responses)
+                .unwrap();
+        }
+        let err = reg
+            .fit("one-too-many", Metric::Cycles, &responses)
+            .unwrap_err();
+        assert!(
+            matches!(&err, RegistryError::BadRequest(m) if m.contains(&MAX_FITTED.to_string())),
+            "{err}"
+        );
+        reg.fit("p0", Metric::Cycles, &responses).unwrap();
+        assert_eq!(reg.fitted().len(), MAX_FITTED);
+        reg.reload().unwrap();
+        reg.fit("one-too-many", Metric::Cycles, &responses).unwrap();
+        assert_eq!(reg.fitted().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

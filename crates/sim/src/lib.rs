@@ -38,7 +38,6 @@
 pub mod branch;
 pub mod cache;
 pub mod check;
-pub mod corun;
 pub mod energy;
 pub mod obs;
 pub mod oracle;
@@ -46,7 +45,6 @@ pub mod pipeline;
 pub mod timing;
 
 pub use check::CheckError;
-pub use corun::{simulate_corun, CorunLane, CorunResult};
 pub use obs::{NoObs, SimObs, StageProf, StageTimes, StallProfile, StallReport};
 pub use pipeline::{Pipeline, RunRecord, SimOptions, SimResult};
 
@@ -231,7 +229,7 @@ pub fn simulate(cfg: &Config, trace: &Trace, options: SimOptions) -> Metrics {
 /// Bumps the workspace-wide simulation counters for one finished run.
 /// Handles are resolved once and cached; the per-run cost is three
 /// sharded atomic adds.
-pub(crate) fn record_run(result: &SimResult) {
+fn record_run(result: &SimResult) {
     use dse_obs::registry::Counter;
     use std::sync::{Arc, OnceLock};
     static RUNS: OnceLock<Arc<Counter>> = OnceLock::new();
@@ -245,16 +243,6 @@ pub(crate) fn record_run(result: &SimResult) {
     INSTRS
         .get_or_init(|| dse_obs::counter("dse_sim_instructions_total"))
         .add(result.instructions);
-}
-
-/// Bumps the workspace-wide simulation counters for one finished run and
-/// converts its result to phase-normalised [`Metrics`] — the accounting
-/// step for callers that drive a [`Pipeline`] themselves (the co-run
-/// passes), so they count in the sims/cycles/instructions totals exactly
-/// like [`simulate`].
-pub fn record_metrics(result: &SimResult) -> Metrics {
-    record_run(result);
-    Metrics::from_result(result)
 }
 
 /// Like [`simulate`], but returns a sanitizer violation as an error

@@ -187,20 +187,6 @@ struct WarmSnapshot {
     bp: (u64, u64),
 }
 
-/// A co-runner's L1-filtered L2 address stream, injected one access per
-/// own L2 access (round-robin arbitration with wrap-around) to model a
-/// second program sharing this lane's L2. Intruder accesses pollute the
-/// shared L2 contents and occupy L2/memory slots, but are tracked
-/// separately so the lane's own counters, miss rates, and energy stay
-/// own-only (see [`Pipeline::set_intruder`]).
-#[derive(Debug)]
-struct IntruderLane {
-    addrs: Vec<u64>,
-    pos: usize,
-    accesses: u64,
-    misses: u64,
-}
-
 /// The machine state for one run. Construct via [`Pipeline::new`] and call
 /// [`Pipeline::run`].
 #[derive(Debug)]
@@ -304,18 +290,6 @@ pub struct Pipeline<'t> {
 
     l2_free_at: u64,
     mem_free_at: u64,
-
-    /// When `Some`, every L2-reaching address (the L1-filtered stream)
-    /// is recorded in issue order — the co-run driver's capture pass.
-    /// `None` (the default) leaves the hot path untouched.
-    l2_capture: Option<Vec<u64>>,
-    /// When `Some`, a co-runner's address stream is interleaved into the
-    /// L2 round-robin (one intruder access per own access). `None` (the
-    /// default) is bit-identical to a solo run.
-    intruder: Option<IntruderLane>,
-    /// True when either `l2_capture` or `intruder` is armed; the one
-    /// flag the solo L2 hot path checks before taking the hooked route.
-    corun_hooks: bool,
 
     /// Stage-timing scratch: ticks spent in writeback-port reservation
     /// this cycle. Written only under `SimObs::STAGE_TIMING` (the issue
@@ -458,9 +432,6 @@ impl<'t> Pipeline<'t> {
             wb_used: filled(0),
             l2_free_at: 0,
             mem_free_at: 0,
-            l2_capture: None,
-            intruder: None,
-            corun_hooks: false,
             wb_ticks: 0,
             wheel_head: filled(0),
             wake_next: filled(NIL),
@@ -609,44 +580,6 @@ impl<'t> Pipeline<'t> {
     pub fn try_run_full_obs<O: SimObs>(mut self, obs: &mut O) -> Result<RunRecord, CheckError> {
         let warm = self.run_loop::<O, true>(obs)?;
         self.into_record(warm)
-    }
-
-    /// Arms L2 stream capture: the run records every L2-reaching address
-    /// (the L1-filtered stream, in issue order). Capture changes no
-    /// timing or accounting — the run stays bit-identical to an unarmed
-    /// one. Retrieve the stream with [`Pipeline::try_run_full_captured`].
-    pub fn capture_l2_stream(&mut self) {
-        self.l2_capture = Some(Vec::new());
-        self.corun_hooks = true;
-    }
-
-    /// Injects `addrs` as a co-running intruder sharing this lane's L2:
-    /// after each own L2 access, the next intruder address (round-robin
-    /// over `addrs`, wrapping) takes an L2 slot — and, when it misses, a
-    /// memory slot — so the own lane queues behind it, and the shared L2
-    /// contents reflect both programs. Intruder events are accounted
-    /// separately: the lane's counters, miss rates and energy remain
-    /// own-only. An empty stream is ignored (no co-runner).
-    pub fn set_intruder(&mut self, addrs: Vec<u64>) {
-        if !addrs.is_empty() {
-            self.intruder = Some(IntruderLane {
-                addrs,
-                pos: 0,
-                accesses: 0,
-                misses: 0,
-            });
-            self.corun_hooks = true;
-        }
-    }
-
-    /// Like [`Pipeline::try_run_full`], additionally returning the L2
-    /// address stream recorded by [`Pipeline::capture_l2_stream`]
-    /// (empty if capture was never armed).
-    pub fn try_run_full_captured(mut self) -> Result<(RunRecord, Vec<u64>), CheckError> {
-        let warm = self.run_loop::<NoObs, true>(&mut NoObs)?;
-        let stream = self.l2_capture.take().unwrap_or_default();
-        let record = self.into_record(warm)?;
-        Ok((record, stream))
     }
 
     /// Steps the machine until the whole trace has committed, returning
@@ -806,10 +739,7 @@ impl<'t> Pipeline<'t> {
                 w.l1d.0,
                 w.l1d.1,
             ),
-            l2_miss_rate: {
-                let (own_acc, own_miss) = self.own_l2_stats();
-                rate(own_acc, own_miss, w.l2.0, w.l2.1)
-            },
+            l2_miss_rate: rate(self.l2.accesses(), self.l2.misses(), w.l2.0, w.l2.1),
             bpred_miss_rate: rate(
                 self.gshare.predictions(),
                 self.gshare.mispredictions(),
@@ -851,16 +781,13 @@ impl<'t> Pipeline<'t> {
         let ic_miss = self.icache.misses();
         check::reconcile("icache-accesses", c.icache_accesses, self.icache.accesses())?;
         check::reconcile("dcache-accesses", c.dcache_accesses, self.dcache.accesses())?;
-        // The L2 totals include any co-running intruder's accesses; the
-        // lane's own counters must match the own share exactly.
-        let (own_l2_acc, own_l2_miss) = self.own_l2_stats();
-        check::reconcile("l2-accesses", c.l2_accesses, own_l2_acc)?;
+        check::reconcile("l2-accesses", c.l2_accesses, self.l2.accesses())?;
         check::reconcile(
             "l1-misses-feed-l2",
-            own_l2_acc,
+            self.l2.accesses(),
             ic_miss + self.dcache.misses(),
         )?;
-        check::reconcile("l2-misses-feed-memory", c.memory_accesses, own_l2_miss)?;
+        check::reconcile("l2-misses-feed-memory", c.memory_accesses, self.l2.misses())?;
         check::reconcile(
             "bpred-accesses",
             c.bpred_accesses,
@@ -890,7 +817,7 @@ impl<'t> Pipeline<'t> {
             cycle: self.cycle,
             l1i: (self.icache.accesses(), self.icache.misses()),
             l1d: (self.dcache.accesses(), self.dcache.misses()),
-            l2: self.own_l2_stats(),
+            l2: (self.l2.accesses(), self.l2.misses()),
             bp: (self.gshare.predictions(), self.gshare.mispredictions()),
         }
     }
@@ -1225,55 +1152,13 @@ impl<'t> Pipeline<'t> {
         let start = at.max(self.l2_free_at);
         self.l2_free_at = start + 2; // L2 accepts a new access every 2 cycles
         let l2_done = start + self.l2_lat;
-        let hit = self.l2.access(addr) == CacheOutcome::Hit;
-        // The capture/co-run hooks are outlined, so the solo hot path
-        // pays exactly one always-false predictable branch.
-        if self.corun_hooks {
-            self.corun_l2_hooks(addr, l2_done);
-        }
-        if hit {
+        if self.l2.access(addr) == CacheOutcome::Hit {
             return l2_done;
         }
         self.counters.memory_accesses += 1;
         let mstart = l2_done.max(self.mem_free_at);
         self.mem_free_at = mstart + self.mem.occupancy as u64;
         mstart + self.mem.latency as u64
-    }
-
-    /// The stream-capture and intruder hooks of an own L2 access to
-    /// `addr` done at `l2_done` — only reached when one of them is armed.
-    #[cold]
-    #[inline(never)]
-    fn corun_l2_hooks(&mut self, addr: u64, l2_done: u64) {
-        if let Some(cap) = self.l2_capture.as_mut() {
-            cap.push(addr);
-        }
-        // Round-robin co-runner: one intruder access follows each own
-        // access, taking the next L2 slot and — on a miss — a memory
-        // slot ahead of any own miss, so the own lane feels both port
-        // and bus contention as well as capacity pollution.
-        if let Some(intr) = self.intruder.as_mut() {
-            let ia = intr.addrs[intr.pos];
-            intr.pos += 1;
-            if intr.pos == intr.addrs.len() {
-                intr.pos = 0;
-            }
-            intr.accesses += 1;
-            self.l2_free_at += 2;
-            if self.l2.access(ia) != CacheOutcome::Hit {
-                intr.misses += 1;
-                self.mem_free_at = self.mem_free_at.max(l2_done) + self.mem.occupancy as u64;
-            }
-        }
-    }
-
-    /// The lane's own L2 statistics — total minus intruder, so co-run
-    /// miss rates and reconciliations describe only this program.
-    fn own_l2_stats(&self) -> (u64, u64) {
-        match &self.intruder {
-            Some(i) => (self.l2.accesses() - i.accesses, self.l2.misses() - i.misses),
-            None => (self.l2.accesses(), self.l2.misses()),
-        }
     }
 
     /// Reserves a register-file write port at or after `at`.

@@ -316,6 +316,19 @@ const FIELDS: [&str; PARAM_COUNT] = [
     "l2_kb",
 ];
 
+impl Param {
+    /// The JSON field name of this parameter (`bpred_k`, `l2_kb`, ...),
+    /// which the CLI's `key=value` overrides spell the same way.
+    pub fn field(self) -> &'static str {
+        FIELDS[self as usize]
+    }
+
+    /// The parameter whose JSON field name is `key`.
+    pub fn from_field(key: &str) -> Option<Param> {
+        FIELDS.iter().position(|&f| f == key).map(|i| Param::ALL[i])
+    }
+}
+
 /// The [`FIELDS`] index of `key`, trying `guess` first: encoders write
 /// the fields in table order, so the next expected one usually matches.
 fn field_index(key: &str, guess: usize) -> Option<usize> {

@@ -229,9 +229,9 @@ fi
 # interchange format, import a raw trace, train artifacts that include
 # the imported store, serve them, and fit/predict the external program
 # over HTTP — the full front-door path on programs that exist in no
-# built-in suite. A co-run simulate runs sanitized, twice with different
-# thread settings, and must be byte-identical. Skip with
-# DSE_INGEST_SKIP=1.
+# built-in suite. A simulate of the imported program runs sanitized,
+# twice with different thread settings, and must be byte-identical. Skip
+# with DSE_INGEST_SKIP=1.
 if [ "${DSE_INGEST_SKIP:-0}" = "1" ]; then
   echo "== ingest smoke skipped (DSE_INGEST_SKIP=1) =="
 else
@@ -282,14 +282,14 @@ else
   cargo run --release --offline -q -- client "$ADDR" shutdown
   wait "$INGEST_PID"
   INGEST_PID=""
-  # Co-run smoke: sanitized, and byte-identical across thread settings
-  # (the co-run passes run serially).
+  # Imported-program simulate: sanitized, and byte-identical across
+  # thread settings.
   ARCHDSE_SANITIZE=1 cargo run --release --offline -q -- \
-    simulate gzip --corun mcf --sanitize >"$INGEST_DIR/corun1.txt"
+    simulate synth-9-0 --workloads "$INGEST_DIR/wl" --sanitize >"$INGEST_DIR/sim1.txt"
   ARCHDSE_SANITIZE=1 ARCHDSE_THREADS=3 cargo run --release --offline -q -- \
-    simulate gzip --corun mcf --sanitize >"$INGEST_DIR/corun2.txt"
-  cmp "$INGEST_DIR/corun1.txt" "$INGEST_DIR/corun2.txt" \
-    || { echo "co-run output depends on thread settings"; exit 1; }
+    simulate synth-9-0 --workloads "$INGEST_DIR/wl" --sanitize >"$INGEST_DIR/sim2.txt"
+  cmp "$INGEST_DIR/sim1.txt" "$INGEST_DIR/sim2.txt" \
+    || { echo "imported-program simulate depends on thread settings"; exit 1; }
   rm -rf "$INGEST_DIR"
   trap - EXIT
   echo "== ingest smoke passed =="

@@ -13,10 +13,10 @@
 //! archdse client <addr> <verb> [...]    # query a running server
 //! ```
 //!
-//! Configuration overrides use the paper-vector field names:
-//! `width rob iq lsq rf rf_read rf_write bpred btb branches icache dcache l2`
-//! (caches in KB, predictor/BTB in K-entries), e.g.
-//! `archdse simulate gzip width=8 l2=4096`.
+//! Configuration overrides use the `Config` JSON field names:
+//! `width rob iq lsq rf rf_read rf_write bpred_k btb_k max_branches
+//! icache_kb dcache_kb l2_kb` (caches in KB, predictor/BTB in K-entries),
+//! e.g. `archdse simulate gzip width=8 l2_kb=4096`.
 
 use archdse::explore::{Constraints, ExploreBudget, Explorer, Objective, SimOracle};
 use archdse::prelude::*;
@@ -32,12 +32,11 @@ const USAGE: &str = "usage: archdse <command> [args]
 commands:
   space                                   design-space summary
   benchmarks                              list workload profiles
-  simulate <bench> [--sanitize] [--profile] [--profile-stages] [--corun <bench2>] [--workloads <dir>] [k=v...]
+  simulate <bench> [--sanitize] [--profile] [--profile-stages] [--workloads <dir>] [k=v...]
                                           run one benchmark on one config
                                           (--profile: stall attribution;
                                            --profile-stages: host-time per stage,
-                                           in the same pass as --profile;
-                                           --corun: share the L2 with <bench2>)
+                                           in the same pass as --profile)
   workload list [--workloads <dir>]       catalog: built-ins + imported workloads
   workload export <name> [--workloads <dir>]
                                           print a profile as an interchange document
@@ -170,34 +169,28 @@ fn cmd_benchmarks() -> i32 {
     0
 }
 
-/// Parses `key=value` overrides onto the baseline configuration. Every
-/// value must be on its parameter's grid, and the result must pass the
-/// legality filter.
+/// Parses `key=value` overrides onto the baseline configuration. Keys
+/// are the `Config` JSON field names, every value must be on its
+/// parameter's grid, and the result must pass the legality filter.
 fn parse_config(args: &[String]) -> Result<Config, String> {
     let mut cfg = Config::baseline();
     for arg in args {
+        if arg.starts_with("--") {
+            return Err(format!("unknown flag '{arg}'"));
+        }
         let Some((key, value)) = arg.split_once('=') else {
             return Err(format!("expected key=value, got '{arg}'"));
+        };
+        let Some(param) = Param::from_field(key) else {
+            let keys: Vec<&str> = Param::ALL.iter().map(|p| p.field()).collect();
+            return Err(format!(
+                "unknown parameter '{key}'; legal keys: {}",
+                keys.join(", ")
+            ));
         };
         let v: u64 = value
             .parse()
             .map_err(|_| format!("'{value}' is not a number in '{arg}'"))?;
-        let param = match key {
-            "width" => Param::Width,
-            "rob" => Param::Rob,
-            "iq" => Param::Iq,
-            "lsq" => Param::Lsq,
-            "rf" => Param::Rf,
-            "rf_read" => Param::RfRead,
-            "rf_write" => Param::RfWrite,
-            "bpred" => Param::Bpred,
-            "btb" => Param::Btb,
-            "branches" => Param::MaxBranches,
-            "icache" => Param::Icache,
-            "dcache" => Param::Dcache,
-            "l2" => Param::L2,
-            other => return Err(format!("unknown parameter '{other}'")),
-        };
         let def = param.def();
         if def.index_of(v).is_none() {
             let legal: Vec<String> = def.values.iter().map(u64::to_string).collect();
@@ -241,7 +234,7 @@ fn find_profile_in(name: &str, workloads: Option<&str>) -> Result<Profile, Strin
 
 fn cmd_simulate(args: &[String]) -> i32 {
     const SIM_USAGE: &str = "usage: archdse simulate <benchmark> [--sanitize] [--profile] \
-[--profile-stages] [--corun <bench2>] [--workloads <dir>] [key=value ...]";
+[--profile-stages] [--workloads <dir>] [key=value ...]";
     let Some(bench) = args.first() else {
         eprintln!("{SIM_USAGE}");
         return 2;
@@ -249,7 +242,6 @@ fn cmd_simulate(args: &[String]) -> i32 {
     let mut sanitize = false;
     let mut profile_run = false;
     let mut profile_stages = false;
-    let mut corun: Option<String> = None;
     let mut workloads: Option<String> = None;
     let mut overrides = Vec::new();
     let mut it = args[1..].iter();
@@ -258,16 +250,12 @@ fn cmd_simulate(args: &[String]) -> i32 {
             "--sanitize" => sanitize = true,
             "--profile" => profile_run = true,
             "--profile-stages" => profile_stages = true,
-            "--corun" | "--workloads" => {
+            "--workloads" => {
                 let Some(value) = it.next() else {
                     eprintln!("flag '{arg}' needs a value\n{SIM_USAGE}");
                     return 2;
                 };
-                if arg == "--corun" {
-                    corun = Some(value.clone());
-                } else {
-                    workloads = Some(value.clone());
-                }
+                workloads = Some(value.clone());
             }
             _ => overrides.push(arg.clone()),
         }
@@ -286,13 +274,6 @@ fn cmd_simulate(args: &[String]) -> i32 {
             return 2;
         }
     };
-    if let Some(other) = corun {
-        if profile_run || profile_stages {
-            eprintln!("--profile/--profile-stages are not supported together with --corun");
-            return 2;
-        }
-        return simulate_corun_cli(&cfg, &profile, &other, workloads.as_deref(), sanitize);
-    }
     let (rec, stall, stages) =
         match simulate_observed(&cfg, &profile, sanitize, profile_run, profile_stages) {
             Ok(run) => run,
@@ -358,52 +339,6 @@ fn simulate_observed(
         (true, true) => pipeline.try_run_full_obs(&mut obs),
     }?;
     Ok((rec, stall.then_some(obs.0), stages.then_some(obs.1)))
-}
-
-/// `simulate A --corun B`: runs the two-pass shared-L2 interference
-/// scenario and reports each lane's solo vs contended story.
-fn simulate_corun_cli(
-    cfg: &Config,
-    a: &Profile,
-    b_name: &str,
-    workloads: Option<&str>,
-    sanitize: bool,
-) -> i32 {
-    let b = match find_profile_in(b_name, workloads) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let trace_a = TraceGenerator::new(a).generate(60_000);
-    let trace_b = TraceGenerator::new(&b).generate(60_000);
-    let options = SimOptions {
-        sanitize,
-        ..SimOptions::with_warmup(15_000)
-    };
-    let result = match archdse::sim::simulate_corun(cfg, &trace_a, &trace_b, options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
-    println!("co-run    : {} + {} (shared L2)", a.name, b.name);
-    println!("config    : {cfg}");
-    let lane = |name: &str, l: &archdse::sim::CorunLane| {
-        println!(
-            "{name:14} cycles {:.4e} -> {:.4e}  slowdown {:.3}x  L2 miss {:.2}% -> {:.2}%",
-            l.solo.cycles,
-            l.contended.cycles,
-            l.slowdown(),
-            100.0 * l.solo_l2_miss,
-            100.0 * l.contended_l2_miss
-        );
-    };
-    lane(a.name, &result.a);
-    lane(b.name, &result.b);
-    0
 }
 
 /// `archdse workload <list|export|import|synth>`: the ingestion surface.
@@ -1444,7 +1379,7 @@ fn client_predict(client: &mut Client, args: &[String]) -> i32 {
     let mut metric = Metric::Cycles;
     let mut overrides = Vec::new();
     for arg in &args[1..] {
-        if arg.contains('=') {
+        if arg.contains('=') || arg.starts_with("--") {
             overrides.push(arg.clone());
         } else {
             match parse_metric(arg) {
@@ -1559,12 +1494,29 @@ mod tests {
         assert_eq!(cfg.width, 8);
         assert_eq!(cfg.rf_read, 16);
         assert_eq!(cfg.rob, Config::baseline().rob);
+        // Every `Config` field name, given one legal non-baseline value,
+        // sets exactly that parameter.
+        let base = Config::baseline();
+        for p in Param::ALL {
+            let (v, want) = p
+                .def()
+                .values
+                .iter()
+                .map(|&v| (v, base.with_param(p, v)))
+                .find(|(v, c)| *v != base.param(p) && c.is_legal())
+                .unwrap_or_else(|| panic!("{p} has no legal non-baseline value"));
+            let cfg = parse_config(&[format!("{}={v}", p.field())]).unwrap();
+            assert_eq!(cfg, want, "{}={v}", p.field());
+        }
     }
 
     #[test]
     fn parse_config_rejects_unknown_key() {
         let err = parse_config(&["potato=4".to_string()]).unwrap_err();
         assert!(err.contains("unknown parameter"));
+        assert!(err.contains("bpred_k") && err.contains("l2_kb"), "{err}");
+        let err = parse_config(&["--bogus".to_string()]).unwrap_err();
+        assert!(err.contains("unknown flag '--bogus'"), "{err}");
     }
 
     #[test]
@@ -1572,7 +1524,7 @@ mod tests {
         let err = parse_config(&["rob=97".to_string()]).unwrap_err();
         assert!(err.contains("rob=97"), "{err}");
         assert!(err.contains("32, 40, 48") && err.contains("160"), "{err}");
-        assert!(parse_config(&["l2=1024".to_string()]).is_ok());
+        assert!(parse_config(&["l2_kb=1024".to_string()]).is_ok());
     }
 
     #[test]
